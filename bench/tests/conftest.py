@@ -1,0 +1,16 @@
+"""Make the benchmark modules and the library of this checkout importable."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH))
+
+import run  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def lib():
+    return run.load_library()
