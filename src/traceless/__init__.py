@@ -23,6 +23,7 @@ from .errors import (
     NotHermitian,
     NotPositive,
     SizeLimitExceeded,
+    StaleReport,
     StarSyntaxError,
     SymbolicSqrtUnsupported,
     TraceObstruction,

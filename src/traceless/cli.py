@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import cuntz
 from .decompose import decompose_element, decompose_positive, verify_decomposition
-from .errors import IndexOutOfRange, StarSyntaxError, TracelessError, TraceObstruction
+from .errors import IndexOutOfRange, StaleReport, StarSyntaxError, TracelessError, TraceObstruction
 from .linalg import Operator
 from .serialization import (
     decomposition_from_json,
@@ -49,6 +49,9 @@ from .witness import (
 )
 
 _PARSE_ERRORS = (StarSyntaxError, IndexOutOfRange)
+
+# largest disagreement between a witness file's eta2 and the recomputed one
+_STALE_ETA2_TOL = 1e-12
 
 
 def _load_json(path: str) -> dict:
@@ -109,10 +112,7 @@ def _cmd_witness_check(args):
     if witness.backend == "symbolic":
         checked = check_witness_symbolic(witness.elements, tol=args.tol, depth=args.depth)
     else:
-        mask = witness.interior_mask
-        if mask is None:
-            mask = _interior_mask_from_labels(witness.elements[0].basis_labels, witness.degree)
-        checked = check_witness(witness.elements, tol=args.tol, interior_mask=mask)
+        checked = check_witness(witness.elements, tol=args.tol, interior_mask=witness.interior_mask)
     report = witness_to_json(checked)["report"]
     result = {"backend": checked.backend, "n": checked.n, "report": report}
     return (0 if checked.report.valid else 2), result, result
@@ -132,6 +132,21 @@ def _cmd_witness_build(args):
     return (0 if witness.report.valid else 2), {"witness": artifact}, artifact
 
 
+def _rechecked(witness, tol):
+    """A matrix witness with its report recomputed from its elements.
+
+    The Neumann iteration count and tail bound rest on eta2, so a file whose
+    eta2 disagrees with its own elements is refused, not trusted.
+    """
+    checked = check_witness(witness.elements, tol=tol, interior_mask=witness.interior_mask)
+    if abs(checked.report.eta2 - witness.report.eta2) > _STALE_ETA2_TOL:
+        raise StaleReport(
+            f"witness file has eta2 = {witness.report.eta2!r}, "
+            f"its elements give {checked.report.eta2!r}"
+        )
+    return dataclasses.replace(witness, report=checked.report)
+
+
 def _cmd_decompose(args):
     a = element_from_json(_load_json(args.a))
     witness = witness_from_json(_load_json(args.witness))
@@ -139,6 +154,8 @@ def _cmd_decompose(args):
         if args.depth is None:
             raise ValueError("a symbolic witness needs --depth to act on matrices")
         witness = evaluate_witness(witness, args.depth, tol=args.tol)
+    else:
+        witness = _rechecked(witness, args.tol)
     if not isinstance(a, Operator):
         raise ValueError("decompose expects the element as a matrix JSON file")
     if args.positive:

@@ -15,6 +15,17 @@ On a truncated witness the identity cannot hold exactly (matrix algebras
 have a trace), so results report both the full residual and its compression
 to the truncation interior; the leftover is the boundary defect
 (1 - sum b_i* b_i) psi(a) plus the certified series tail.
+
+Cost.  A witness element with at most one nonzero per row (shifts, evaluated
+normal monomials, diagonal elements: every shipped witness) is a weighted
+partial map b = sum_k v_k |r_k><c_k| (``Operator.partial_map``).  Its term of
+phi is a gather, scale and scatter on the nonzero-row block,
+
+    phi(a)[r, r] += outer(v, conj(v)) * a[c, c],
+
+which costs O(|rows|^2), and b @ psi is a row gather costing O(|rows| d).
+Any other element takes the dense product, O(d^3).  ``verify_decomposition``
+always recomputes densely, independent of the engine it checks.
 """
 
 from __future__ import annotations
@@ -98,12 +109,32 @@ def apply_phi(a, witness: WitnessFamily):
         return total
     if not isinstance(a, Operator):
         raise TypeError("matrix witness needs an Operator argument")
-    if a.dim != witness.elements[0].dim:
-        raise DimensionMismatch(f"dim {a.dim} vs witness dim {witness.elements[0].dim}")
+    for b in witness.elements:
+        if b.dim != a.dim:
+            raise DimensionMismatch(f"dim {a.dim} vs witness dim {b.dim}")
     total = np.zeros((a.dim, a.dim), dtype=complex)
     for b in witness.elements:
-        total = total + b.entries @ a.entries @ b.entries.conj().T
+        form = b.partial_map
+        if form is None:
+            total += b.entries @ a.entries @ b.entries.conj().T
+        else:
+            rows, cols, vals = form
+            block = a.entries[np.ix_(cols, cols)]
+            total[np.ix_(rows, rows)] += np.outer(vals, vals.conj()) * block
     return Operator(total, a.basis_labels)
+
+
+def _left_multiply(b: Operator, m: Operator) -> Operator:
+    """b @ m, as a row gather when b is a partial map."""
+    form = b.partial_map
+    if form is None:
+        return b @ m
+    if m.dim != b.dim:
+        raise DimensionMismatch(f"dim {b.dim} vs {m.dim}")
+    rows, cols, vals = form
+    out = np.zeros((m.dim, m.dim), dtype=complex)
+    out[rows] = vals[:, None] * m.entries[cols]
+    return Operator(out, b.basis_labels)
 
 
 def _neumann_iterations(eta: float, norm_a: float, eps: float, max_iter: int) -> tuple[int, float]:
@@ -134,12 +165,12 @@ def solve_psi_neumann(
         raise NotContractive(f"eta2 = {eta!r} >= 1")
     norm_a = op_norm(a)
     iterations, tail = _neumann_iterations(eta, norm_a, eps, max_iter)
-    psi = Operator(a.entries.copy(), a.basis_labels)
-    term = psi
+    psi = a.entries.copy()
+    term = a
     for _ in range(iterations):
         term = apply_phi(term, witness)
-        psi = psi + term
-    return psi, iterations, tail
+        psi += term.entries
+    return Operator(psi, a.basis_labels), iterations, tail
 
 
 def _direct_dim_limit(max_dim: int | None) -> int:
@@ -180,7 +211,7 @@ def _pairs_standard(witness: WitnessFamily, psi) -> tuple[CommutatorPair, ...]:
         if witness.backend == "symbolic":
             pairs.append(CommutatorPair(cuntz.adjoint(b), cuntz.multiply(b, psi)))
         else:
-            pairs.append(CommutatorPair(b.adjoint(), b @ psi))
+            pairs.append(CommutatorPair(b.adjoint(), _left_multiply(b, psi)))
     return tuple(pairs)
 
 
@@ -199,9 +230,17 @@ def _pair_sum(pairs, template):
 
 
 def _interior_norm(residual: Operator, mask: Operator | None) -> float:
+    """||p r p|| for a diagonal 0/1 projection p, taken on the kept block."""
     if mask is None:
         return op_norm(residual)
-    return op_norm(mask.entries @ residual.entries @ mask.entries)
+    if mask.dim != residual.dim:
+        raise DimensionMismatch(f"interior mask dim {mask.dim} vs {residual.dim}")
+    diag = np.diagonal(mask.entries)
+    off_diagonal = np.count_nonzero(mask.entries) - np.count_nonzero(diag)
+    if off_diagonal or not np.all((diag == 0) | (diag == 1)):
+        raise ValueError("interior mask must be a diagonal 0/1 projection")
+    keep = np.flatnonzero(diag)
+    return op_norm(residual.entries[np.ix_(keep, keep)])
 
 
 def _finish(a, witness, pairs, psi, solver: SolverInfo) -> DecompositionResult:
@@ -276,7 +315,7 @@ def decompose_positive(
     root = psd_sqrt(psi, tol=1e-9)
     pairs = []
     for b in witness.elements:
-        y = b @ root
+        y = _left_multiply(b, root)
         pairs.append(CommutatorPair(y.adjoint(), y, self_adjoint_form=True))
     return _finish(a, witness, tuple(pairs), psi, info)
 

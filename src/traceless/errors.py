@@ -33,6 +33,12 @@ class NotContractive(TracelessError):
     code = "not-contractive"
 
 
+class StaleReport(TracelessError):
+    """A witness file's report disagrees with the report recomputed from its elements."""
+
+    code = "stale-report"
+
+
 class MaxIterExceeded(TracelessError):
     code = "max-iter-exceeded"
 

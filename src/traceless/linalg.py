@@ -9,6 +9,7 @@ from a truncated Fock representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,26 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def partial_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The operator as a weighted partial map sum_k v_k |r_k><c_k|.
+
+        Returns read-only arrays (rows, cols, vals) with rows strictly
+        increasing, so that entries[rows, cols] = vals and every other entry
+        is zero, or None when some row holds two or more nonzeros.  Shifts,
+        evaluated normal monomials and diagonal operators all have this form.
+        """
+        nonzero = self.entries != 0
+        counts = np.count_nonzero(nonzero, axis=1)
+        if np.any(counts > 1):
+            return None
+        rows = np.flatnonzero(counts)
+        cols = np.argmax(nonzero[rows], axis=1)
+        vals = self.entries[rows, cols]
+        for arr in (rows, cols, vals):
+            arr.flags.writeable = False
+        return rows, cols, vals
 
     def adjoint(self) -> "Operator":
         return Operator(self.entries.conj().T, self.basis_labels)

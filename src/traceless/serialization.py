@@ -36,7 +36,6 @@ __all__ = [
     "element_from_json",
     "witness_to_json",
     "witness_from_json",
-    "family_to_json",
     "family_from_json",
     "decomposition_to_json",
     "decomposition_from_json",
@@ -164,10 +163,6 @@ def witness_from_json(data: dict) -> WitnessFamily:
     if backend == "matrix":
         mask = _mask_from_labels(elements[0].basis_labels, degree)
     return WitnessFamily(elements, backend, report, degree=degree, interior_mask=mask)
-
-
-def family_to_json(family: CommutatorSpanFamily) -> dict:
-    return {"generators": [matrix_to_json(a) for a in family.generators]}
 
 
 def family_from_json(data: dict, dim: int | None = None) -> CommutatorSpanFamily:

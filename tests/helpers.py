@@ -57,15 +57,20 @@ def brute_poly_matrix(p: StarPolynomial, depth: int) -> np.ndarray:
     return total
 
 
+def brute_phi(a: np.ndarray, family) -> np.ndarray:
+    """The transfer map sum_i b_i a b_i* with raw dense numpy products."""
+    total = np.zeros_like(a, dtype=complex)
+    for b in family:
+        total += b @ a @ b.conj().T
+    return total
+
+
 def brute_neumann(a: np.ndarray, family, terms: int) -> np.ndarray:
     """Plain series sum_{k=0}^{terms} phi^k(a) with raw numpy products."""
     total = a.copy()
     current = a.copy()
     for _ in range(terms):
-        step = np.zeros_like(a)
-        for b in family:
-            step += b @ current @ b.conj().T
-        current = step
+        current = brute_phi(current, family)
         total += current
     return total
 

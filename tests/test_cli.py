@@ -123,6 +123,24 @@ def test_decompose_verify_round_trip(tmp_path, capsys):
     assert verdict["result"]["trace_defect"] <= 1e-9 * 31
 
 
+def test_decompose_rejects_tampered_eta2(tmp_path, capsys):
+    rng = np.random.default_rng(62)
+    wfile = tmp_path / "w.json"
+    run_cli(capsys, "witness-gen", "--standard", "2", "--depth", "3", "--out", str(wfile))
+    afile = tmp_path / "a.json"
+    afile.write_text(dumps(matrix_to_json(random_hermitian(rng, 15, fock_truncation(2, 3).labels))))
+    argv = ("decompose", "--a", str(afile), "--witness", str(wfile))
+    code, envelope, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert envelope["result"]["decomposition"]["residual_interior_norm"] <= 1e-8
+    witness = json.loads(wfile.read_text())
+    witness["report"]["eta2"] = 0.05
+    wfile.write_text(dumps(witness))
+    code, envelope, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert envelope["error"]["code"] == "stale-report"
+
+
 def test_eval_normal_form_and_composition(capsys):
     code, envelope, _ = run_cli(capsys, "eval", "--expr", "s1* s1", "--n", "2")
     assert code == 0

@@ -334,6 +334,19 @@ def test_verify_matches_engine(toeplitz_witness_L5):
     assert report.trace_defect <= 1e-9 * a.dim
 
 
+def test_interior_norm_slices_the_mask_and_rejects_non_projections(toeplitz_witness_L5):
+    rng = np.random.default_rng(39)
+    w = toeplitz_witness_L5
+    a = random_hermitian(rng, w.elements[0].dim, w.elements[0].basis_labels)
+    result = decompose_element(a, w, eps=1e-10)
+    p = w.interior_mask.entries
+    dense = op_norm(p @ result.residual.entries @ p)
+    assert abs(result.residual_interior_norm - dense) <= 1e-12 * max(1.0, dense)
+    for bad in (0.5 * p, p + np.diag(np.ones(a.dim - 1), 1)):
+        with pytest.raises(ValueError):
+            verify_decomposition(a, result.pairs, interior_mask=Operator(bad))
+
+
 # ---------------------------------------------------------------------------
 # the algebraic heart: reverse identity for random symbolic elements
 # ---------------------------------------------------------------------------

@@ -1,0 +1,131 @@
+"""The transfer map and pair construction against the dense oracle.
+
+apply_phi and the pairs take a gather-scatter path for witness elements
+with at most one nonzero per row and the dense product for any other
+element.  Both sides must agree with the raw ``sum b a b*`` of helpers.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from traceless import (
+    Operator,
+    StarPolynomial,
+    apply_phi,
+    decompose_element,
+    decompose_positive,
+    evaluate,
+    fock_truncation,
+    parse_star_poly,
+    psd_sqrt,
+)
+from traceless.witness import (
+    build_witness,
+    check_witness,
+    evaluate_witness,
+    standard_isometry_witness,
+    toeplitz_candidate_family,
+)
+
+from helpers import brute_phi, random_operator
+
+DEPTH = 4
+RTOL = 1e-12
+
+
+def _rel_err(x: np.ndarray, oracle: np.ndarray) -> float:
+    return float(np.linalg.norm(x - oracle) / max(np.linalg.norm(oracle), 1e-300))
+
+
+def _evaluated(expressions, depth=DEPTH):
+    trunc = fock_truncation(2, depth)
+    return [evaluate(parse_star_poly(e, 2), trunc) for e in expressions]
+
+
+def _witness(name):
+    if name == "standard":
+        return standard_isometry_witness(2, depth=DEPTH)
+    if name == "toeplitz":
+        return evaluate_witness(build_witness(toeplitz_candidate_family(2)), DEPTH)
+    if name == "multi-slot":
+        # row 1w of s1 + s1 s2* holds two nonzeros; s2 / sqrt(2) is a shift
+        return check_witness(_evaluated(["0.5*(s1 + s1 s2*)", f"{1 / math.sqrt(2)}*s2"]))
+    rng = np.random.default_rng(70)
+    return check_witness([0.3 * random_operator(rng, 31) for _ in range(3)])
+
+
+def _assert_matches_oracle(witness, a: Operator, c: Operator):
+    family = [b.entries for b in witness.elements]
+    assert _rel_err(apply_phi(a, witness).entries, brute_phi(a.entries, family)) <= RTOL
+    result = decompose_element(a, witness, psi=c)
+    for pair, b in zip(result.pairs, family):
+        assert np.array_equal(pair.x.entries, b.conj().T)
+        assert _rel_err(pair.y.entries, b @ c.entries) <= RTOL
+
+
+@pytest.mark.parametrize(
+    "name, partial",
+    [
+        ("standard", [True, True]),
+        ("toeplitz", [True] * 5),
+        ("multi-slot", [False, True]),
+        ("dense-random", [False] * 3),
+    ],
+)
+def test_phi_and_pairs_match_dense_oracle(name, partial):
+    witness = _witness(name)
+    assert [b.partial_map is not None for b in witness.elements] == partial
+    rng = np.random.default_rng(71)
+    dim = witness.elements[0].dim
+    _assert_matches_oracle(witness, random_operator(rng, dim), random_operator(rng, dim))
+
+
+def test_positive_pairs_match_dense_oracle():
+    witness = _witness("toeplitz")
+    rng = np.random.default_rng(72)
+    g = random_operator(rng, witness.elements[0].dim)
+    result = decompose_positive(g.adjoint() @ g, witness)
+    root = psd_sqrt(result.psi_a, tol=1e-9).entries
+    for pair, b in zip(result.pairs, witness.elements):
+        assert _rel_err(pair.y.entries, b.entries @ root) <= RTOL
+        assert np.array_equal(pair.x.entries, pair.y.entries.conj().T)
+
+
+def test_partial_map_form():
+    shift = _evaluated(["s1"])[0]
+    rows, cols, vals = shift.partial_map
+    assert np.all(np.diff(rows) > 0)
+    rebuilt = np.zeros((shift.dim, shift.dim), dtype=complex)
+    rebuilt[rows, cols] = vals
+    assert np.array_equal(rebuilt, shift.entries)
+    assert not vals.flags.writeable
+    assert shift.partial_map is shift.partial_map
+    assert _evaluated(["s1 + s1 s2*"])[0].partial_map is None
+    empty = Operator(np.zeros((3, 3))).partial_map
+    assert [len(part) for part in empty] == [0, 0, 0]
+
+
+_words = st.lists(st.integers(1, 2), max_size=2).map(tuple)
+_coefs = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+_normal_forms = st.dictionaries(st.tuples(_words, _words), _coefs, min_size=1, max_size=3).map(
+    lambda terms: StarPolynomial(2, terms)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_normal_forms, min_size=2, max_size=3), st.integers(0, 2**32 - 1))
+def test_phi_and_pairs_match_dense_oracle_on_random_normal_forms(polys, seed):
+    trunc = fock_truncation(2, 3)
+    elements = [evaluate(p, trunc) for p in polys]
+    for b in elements:
+        nonzero = np.count_nonzero(b.entries, axis=1)
+        assert (b.partial_map is None) == bool(np.any(nonzero > 1))
+    rng = np.random.default_rng(seed)
+    dim = trunc.dimension
+    _assert_matches_oracle(
+        check_witness(elements), random_operator(rng, dim), random_operator(rng, dim)
+    )
