@@ -18,8 +18,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import cuntz
 from .decompose import decompose_element, decompose_positive, verify_decomposition
@@ -57,16 +55,6 @@ _STALE_ETA2_TOL = 1e-12
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _interior_mask_from_labels(labels, degree):
-    if labels is None or degree is None:
-        return None
-    depth = max(len(w) for w in labels)
-    if degree > depth:
-        return None
-    diag = np.array([1.0 if len(w) <= depth - degree else 0.0 for w in labels], dtype=complex)
-    return Operator(np.diag(diag), labels)
 
 
 def _cmd_eval(args):
@@ -177,7 +165,7 @@ def _cmd_verify(args):
         raise ValueError("report does not embed the element; pass --a")
     mask = None
     if isinstance(a, Operator):
-        mask = _interior_mask_from_labels(a.basis_labels, raw.get("interior_degree"))
+        mask = cuntz.interior_for_degree(a.basis_labels, raw.get("interior_degree"))
     report = verify_decomposition(a, pairs, interior_mask=mask)
     result = verification_to_json(report)
     return 0, result, result
@@ -190,10 +178,8 @@ def _cmd_dist(args):
         labels = family.generators[0].basis_labels if family.generators else None
         if labels is None:
             raise ValueError("--interior-length needs labeled (Fock) generators")
-        diag = np.array(
-            [1.0 if len(w) <= args.interior_length else 0.0 for w in labels], dtype=complex
-        )
-        mask = Operator(np.diag(diag), labels)
+        trunc = cuntz.fock_truncation_from_labels(labels)
+        mask = cuntz.interior_projection(trunc, args.interior_length)
     estimate = commutator_distance(family, polish_steps=args.polish, interior_mask=mask)
     result = estimate_to_json(estimate)
     return 0, result, result

@@ -17,18 +17,26 @@ space spanned by words of length <= L, on which each generator acts as the
 shift w -> iw (killing words of maximal length).  Evaluation there turns
 symbolic identities into concrete matrices, exactly on the interior and
 with controlled defects at the length-L boundary.
+
+``StarPolynomial`` and ``linalg.Operator`` share one operator syntax (``+``,
+``-``, scalar ``*``, ``.adjoint()``, and ``@`` for the product, which on a
+StarPolynomial is the same product as ``*``), so code such as ``star_sums``
+serves both element types.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     GeneratorMismatch,
     IndexOutOfRange,
     NotHermitian,
@@ -51,11 +59,15 @@ __all__ = [
     "adjoint",
     "commutator",
     "equals",
+    "star_sums",
     "parse_star_poly",
     "poly_to_string",
     "fock_truncation",
+    "fock_truncation_from_labels",
     "truncated_isometries",
     "interior_projection",
+    "interior_for_degree",
+    "interior_indices",
     "evaluate",
     "evaluate_expression",
     "word_to_string",
@@ -148,6 +160,11 @@ class StarPolynomial:
     def __rmul__(self, scalar):
         return multiply_scalar(self, scalar)
 
+    def __matmul__(self, other):
+        if not isinstance(other, StarPolynomial):
+            return NotImplemented
+        return multiply(self, other)
+
     def __neg__(self):
         return multiply_scalar(self, -1)
 
@@ -237,6 +254,18 @@ def equals(p: StarPolynomial, q: StarPolynomial, tol: float = 1e-12) -> bool:
         if abs(p._terms.get(key, 0j) - q._terms.get(key, 0j)) > tol:
             return False
     return True
+
+
+def star_sums(family) -> tuple:
+    """(sum_i b_i* b_i, sum_i b_i b_i*), summed in index order.
+
+    Written in the operator syntax shared by StarPolynomial and Operator, so
+    one call serves a symbolic or a matrix family.
+    """
+    family = tuple(family)
+    sum_star = functools.reduce(operator.add, (b.adjoint() @ b for b in family))
+    sum_range = functools.reduce(operator.add, (b @ b.adjoint() for b in family))
+    return sum_star, sum_range
 
 
 def coefficient_norm(p: StarPolynomial) -> float:
@@ -347,12 +376,10 @@ class _Parser:
 
     def _at_scalar(self) -> bool:
         token = self.peek()
-        if token[0] == "num" and token[1] != "1":
-            return True
-        if token[0] == "num" and token[1] == "1":
+        if token[0] == "num":
             # "1" is the unit factor unless written like a scalar multiple "1*..."
             # or standing alone as a term; both readings denote the same element.
-            return False
+            return token[1] != "1"
         return self._at_complex_scalar()
 
     def parse_scalar(self) -> complex:
@@ -412,35 +439,37 @@ class _Parser:
         raise StarSyntaxError(f"expected a factor, found {token[1]!r}", token[2])
 
 
-def _ast_to_poly(node, n: int) -> StarPolynomial:
+def _interpret(node, one, n: int, generator):
+    """Value of a parser AST in the operator syntax shared by both element
+    types, given the unit ``one`` and ``generator(i)`` for i in 1..n."""
     kind = node[0]
     if kind == "scalar":
-        return multiply_scalar(unit(n), node[1])
+        return node[1] * one
     if kind == "one":
-        return unit(n)
+        return one
     if kind == "gen":
         index, where = node[1], node[2]
         if not 1 <= index <= n:
             raise IndexOutOfRange(f"generator index {index} outside 1..{n} (at position {where})")
-        return gen(n, index)
+        return generator(index)
     if kind == "adj":
-        return adjoint(_ast_to_poly(node[1], n))
+        return _interpret(node[1], one, n, generator).adjoint()
     if kind == "mul":
-        result = unit(n)
+        result = one
         for factor in node[1]:
-            result = multiply(result, _ast_to_poly(factor, n))
+            result = result @ _interpret(factor, one, n, generator)
         return result
     if kind == "sum":
-        result = zero_poly(n)
+        total = 0 * one
         for sign, part in node[1]:
-            result = add(result, multiply_scalar(_ast_to_poly(part, n), sign))
-        return result
+            total = total + sign * _interpret(part, one, n, generator)
+        return total
     raise ValueError(f"unknown AST node {kind!r}")
 
 
 def parse_star_poly(text: str, n: int) -> StarPolynomial:
     """Parse an expression into its normal form."""
-    return _ast_to_poly(_Parser(text).parse(), n)
+    return _interpret(_Parser(text).parse(), unit(n), n, lambda i: gen(n, i))
 
 
 def _format_float(value: float) -> str:
@@ -524,23 +553,59 @@ def fock_truncation(n: int, depth: int) -> FockTruncation:
     return FockTruncation(n, depth, words, word_index)
 
 
+def fock_truncation_from_labels(labels) -> FockTruncation:
+    """The truncation whose basis labels are ``labels``.
+
+    Raises ValueError unless ``labels`` are exactly the length-then-lex word
+    labels of some ``fock_truncation(n, depth)``.
+    """
+    labels = tuple(labels)
+    lengths = [len(str(w)) for w in labels]
+    n, depth = max(1, lengths.count(1)), max(lengths, default=0)
+    if len(labels) == (depth + 1 if n == 1 else (n ** (depth + 1) - 1) // (n - 1)):
+        trunc = fock_truncation(n, depth)
+        if trunc.labels == labels:
+            return trunc
+    raise ValueError("basis labels are not a length-then-lex Fock basis")
+
+
 def truncated_isometries(n: int, depth: int) -> list[Operator]:
     """The generators as matrices: v_i maps word w to iw, length-depth words to 0."""
     trunc = fock_truncation(n, depth)
-    out = []
-    for i in range(1, n + 1):
-        mat = np.zeros((trunc.dimension, trunc.dimension), dtype=complex)
-        for w in trunc.words:
-            if len(w) <= depth - 1:
-                mat[trunc.word_index[(i,) + w], trunc.word_index[w]] = 1.0
-        out.append(Operator(mat, trunc.labels))
-    return out
+    return [evaluate(gen(n, i), trunc) for i in range(1, n + 1)]
 
 
 def interior_projection(trunc: FockTruncation, max_length: int) -> Operator:
     """Diagonal projection onto words of length <= max_length."""
     diag = np.array([1.0 if len(w) <= max_length else 0.0 for w in trunc.words], dtype=complex)
     return Operator(np.diag(diag), trunc.labels)
+
+
+def interior_for_degree(labels, degree: int | None) -> Operator | None:
+    """Projection onto words of length <= depth - degree of the Fock basis named
+    by ``labels``, where truncated products of degree-``degree`` elements agree
+    with symbolic ones; None if either is None or the degree exceeds the depth."""
+    if labels is None or degree is None:
+        return None
+    trunc = fock_truncation_from_labels(labels)
+    if degree > trunc.depth:
+        return None
+    return interior_projection(trunc, trunc.depth - degree)
+
+
+def interior_indices(mask: Operator, dim: int) -> np.ndarray:
+    """The basis indices an interior mask keeps, for operators of dimension ``dim``.
+
+    Raises DimensionMismatch for a mask of another size and ValueError for
+    anything but a diagonal 0/1 projection.
+    """
+    if mask.dim != dim:
+        raise DimensionMismatch(f"interior mask dim {mask.dim} vs {dim}")
+    diag = np.diagonal(mask.entries)
+    off_diagonal = np.count_nonzero(mask.entries) - np.count_nonzero(diag)
+    if off_diagonal or not np.all((diag == 0) | (diag == 1)):
+        raise ValueError("interior mask must be a diagonal 0/1 projection")
+    return np.flatnonzero(diag)
 
 
 def evaluate(p: StarPolynomial, trunc: FockTruncation) -> Operator:
@@ -561,33 +626,6 @@ def evaluate(p: StarPolynomial, trunc: FockTruncation) -> Operator:
     return Operator(mat, trunc.labels)
 
 
-def _ast_to_matrix(node, trunc: FockTruncation, isometries: list[Operator]) -> Operator:
-    dim = trunc.dimension
-    kind = node[0]
-    if kind == "scalar":
-        return Operator(np.eye(dim, dtype=complex) * node[1], trunc.labels)
-    if kind == "one":
-        return Operator(np.eye(dim, dtype=complex), trunc.labels)
-    if kind == "gen":
-        index = node[1]
-        if not 1 <= index <= trunc.n:
-            raise IndexOutOfRange(f"generator index {index} outside 1..{trunc.n}")
-        return isometries[index - 1]
-    if kind == "adj":
-        return _ast_to_matrix(node[1], trunc, isometries).adjoint()
-    if kind == "mul":
-        result = Operator(np.eye(dim, dtype=complex), trunc.labels)
-        for factor in node[1]:
-            result = result @ _ast_to_matrix(factor, trunc, isometries)
-        return result
-    if kind == "sum":
-        total = Operator(np.zeros((dim, dim), dtype=complex), trunc.labels)
-        for sign, part in node[1]:
-            total = total + sign * _ast_to_matrix(part, trunc, isometries)
-        return total
-    raise ValueError(f"unknown AST node {kind!r}")
-
-
 def evaluate_expression(text: str, trunc: FockTruncation) -> Operator:
     """Evaluate an expression by composing truncated matrices, without
     normalizing first.
@@ -597,7 +635,8 @@ def evaluate_expression(text: str, trunc: FockTruncation) -> Operator:
     the composition v1* v1 is the projection onto words of length < depth.
     """
     isometries = truncated_isometries(trunc.n, trunc.depth)
-    return _ast_to_matrix(_Parser(text).parse(), trunc, isometries)
+    one = Operator(np.eye(trunc.dimension, dtype=complex), trunc.labels)
+    return _interpret(_Parser(text).parse(), one, trunc.n, lambda i: isometries[i - 1])
 
 
 # ---------------------------------------------------------------------------

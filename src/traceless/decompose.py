@@ -24,19 +24,22 @@ phi is a gather, scale and scatter on the nonzero-row block,
     phi(a)[r, r] += outer(v, conj(v)) * a[c, c],
 
 which costs O(|rows|^2), and b @ psi is a row gather costing O(|rows| d).
-Any other element takes the dense product, O(d^3).  ``verify_decomposition``
-always recomputes densely, independent of the engine it checks.
+Any other element takes the dense product, O(d^3).  The residual fields of a
+result come from the same code as ``verify_decomposition``, which always
+recomputes densely from the pairs alone, independent of the engine it checks.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cuntz
-from .cuntz import StarPolynomial
+from .cuntz import StarPolynomial, interior_indices
 from .errors import (
     DimensionMismatch,
     MaxIterExceeded,
@@ -103,10 +106,7 @@ def apply_phi(a, witness: WitnessFamily):
     if witness.backend == "symbolic":
         if not isinstance(a, StarPolynomial):
             raise TypeError("symbolic witness needs a symbolic argument")
-        total = cuntz.zero_poly(a.n)
-        for b in witness.elements:
-            total = cuntz.add(total, cuntz.multiply(cuntz.multiply(b, a), cuntz.adjoint(b)))
-        return total
+        return functools.reduce(operator.add, (b @ a @ b.adjoint() for b in witness.elements))
     if not isinstance(a, Operator):
         raise TypeError("matrix witness needs an Operator argument")
     for b in witness.elements:
@@ -124,9 +124,9 @@ def apply_phi(a, witness: WitnessFamily):
     return Operator(total, a.basis_labels)
 
 
-def _left_multiply(b: Operator, m: Operator) -> Operator:
-    """b @ m, as a row gather when b is a partial map."""
-    form = b.partial_map
+def _left_multiply(b, m):
+    """b @ m, as a row gather when b is a partial-map Operator."""
+    form = None if isinstance(b, StarPolynomial) else b.partial_map
     if form is None:
         return b @ m
     if m.dim != b.dim:
@@ -206,54 +206,44 @@ def solve_psi_direct(a: Operator, witness: WitnessFamily, max_dim: int | None = 
 
 
 def _pairs_standard(witness: WitnessFamily, psi) -> tuple[CommutatorPair, ...]:
-    pairs = []
-    for b in witness.elements:
-        if witness.backend == "symbolic":
-            pairs.append(CommutatorPair(cuntz.adjoint(b), cuntz.multiply(b, psi)))
-        else:
-            pairs.append(CommutatorPair(b.adjoint(), _left_multiply(b, psi)))
-    return tuple(pairs)
+    return tuple(CommutatorPair(b.adjoint(), _left_multiply(b, psi)) for b in witness.elements)
 
 
-def _pair_sum(pairs, template):
-    if isinstance(template, StarPolynomial):
-        total = cuntz.zero_poly(template.n)
+def _residual(a, pairs, interior_mask: Operator | None) -> tuple[object, VerificationReport]:
+    """a - sum_i [x_i, y_i] recomputed from the pairs, with its report.
+
+    The matrix sum accumulates in one array, adding x y and subtracting y x
+    pair by pair in index order.  The interior norm ||p r p|| is taken on
+    the block that the diagonal 0/1 projection p keeps.
+    """
+    if isinstance(a, StarPolynomial):
+        total = cuntz.zero_poly(a.n)
         for pair in pairs:
-            total = cuntz.add(total, cuntz.commutator(pair.x, pair.y))
-        return total
-    total = np.zeros((template.dim, template.dim), dtype=complex)
+            total = total + cuntz.commutator(pair.x, pair.y)
+        residual = a - total
+        norm = cuntz.coefficient_norm(residual)
+        return residual, VerificationReport(norm, norm, None)
+    if not isinstance(a, Operator):
+        raise TypeError("expected an Operator or StarPolynomial")
+    total = np.zeros((a.dim, a.dim), dtype=complex)
     for pair in pairs:
-        total = total + (
-            pair.x.entries @ pair.y.entries - pair.y.entries @ pair.x.entries
-        )
-    return Operator(total, template.basis_labels)
-
-
-def _interior_norm(residual: Operator, mask: Operator | None) -> float:
-    """||p r p|| for a diagonal 0/1 projection p, taken on the kept block."""
-    if mask is None:
-        return op_norm(residual)
-    if mask.dim != residual.dim:
-        raise DimensionMismatch(f"interior mask dim {mask.dim} vs {residual.dim}")
-    diag = np.diagonal(mask.entries)
-    off_diagonal = np.count_nonzero(mask.entries) - np.count_nonzero(diag)
-    if off_diagonal or not np.all((diag == 0) | (diag == 1)):
-        raise ValueError("interior mask must be a diagonal 0/1 projection")
-    keep = np.flatnonzero(diag)
-    return op_norm(residual.entries[np.ix_(keep, keep)])
+        if pair.x.dim != a.dim or pair.y.dim != a.dim:
+            raise DimensionMismatch("pair dimension differs from the target element")
+        total += pair.x.entries @ pair.y.entries
+        total -= pair.y.entries @ pair.x.entries
+    residual = Operator(a.entries - total, a.basis_labels)
+    norm = interior = op_norm(residual)
+    if interior_mask is not None:
+        keep = interior_indices(interior_mask, a.dim)
+        interior = op_norm(residual.entries[np.ix_(keep, keep)])
+    return residual, VerificationReport(norm, interior, float(abs(np.trace(total))))
 
 
 def _finish(a, witness, pairs, psi, solver: SolverInfo) -> DecompositionResult:
-    contributions = _pair_sum(pairs, a)
-    if isinstance(a, StarPolynomial):
-        residual = cuntz.add(a, -contributions)
-        norm = cuntz.coefficient_norm(residual)
-        return DecompositionResult(pairs, psi, residual, norm, norm, None, solver)
-    residual = a - contributions
-    norm = op_norm(residual)
-    interior = _interior_norm(residual, witness.interior_mask)
-    defect = abs(contributions.trace())
-    return DecompositionResult(pairs, psi, residual, norm, interior, defect, solver)
+    residual, r = _residual(a, pairs, witness.interior_mask)
+    return DecompositionResult(
+        pairs, psi, residual, r.residual_norm, r.residual_interior_norm, r.trace_defect, solver
+    )
 
 
 def _solve(a, witness, eps, solver, max_iter):
@@ -279,17 +269,13 @@ def decompose_element(
     where the Neumann series has no finite normal form); otherwise the
     chosen solver computes it.
     """
-    if witness.backend == "symbolic":
-        if psi is None:
-            raise TypeError("symbolic decomposition needs an explicit psi")
-        pairs = _pairs_standard(witness, psi)
-        return _finish(a, witness, pairs, psi, SolverInfo("supplied", 0, 0.0))
     if psi is not None:
         info = SolverInfo("supplied", 0, 0.0)
+    elif witness.backend == "symbolic":
+        raise TypeError("symbolic decomposition needs an explicit psi")
     else:
         psi, info = _solve(a, witness, eps, solver, max_iter)
-    pairs = _pairs_standard(witness, psi)
-    return _finish(a, witness, pairs, psi, info)
+    return _finish(a, witness, _pairs_standard(witness, psi), psi, info)
 
 
 def decompose_positive(
@@ -327,22 +313,4 @@ def verify_decomposition(a, pairs, interior_mask: Operator | None = None) -> Ver
     exactly trace-free, so this measures only rounding.  For symbolic input
     the residual is an exact normal form and the trace defect is None.
     """
-    if isinstance(a, StarPolynomial):
-        total = cuntz.zero_poly(a.n)
-        for pair in pairs:
-            total = cuntz.add(total, cuntz.commutator(pair.x, pair.y))
-        norm = cuntz.coefficient_norm(cuntz.add(a, -total))
-        return VerificationReport(norm, norm, None)
-    if not isinstance(a, Operator):
-        raise TypeError("expected an Operator or StarPolynomial")
-    total = np.zeros((a.dim, a.dim), dtype=complex)
-    for pair in pairs:
-        if pair.x.dim != a.dim or pair.y.dim != a.dim:
-            raise DimensionMismatch("pair dimension differs from the target element")
-        total = total + pair.x.entries @ pair.y.entries - pair.y.entries @ pair.x.entries
-    residual = Operator(a.entries - total, a.basis_labels)
-    return VerificationReport(
-        op_norm(residual),
-        _interior_norm(residual, interior_mask),
-        float(abs(np.trace(total))),
-    )
+    return _residual(a, pairs, interior_mask)[1]

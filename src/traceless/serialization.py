@@ -21,7 +21,7 @@ import json
 
 import numpy as np
 
-from .cuntz import StarPolynomial, word_from_string, word_to_string
+from .cuntz import StarPolynomial, interior_for_degree, word_from_string, word_to_string
 from .linalg import Operator
 from .witness import WitnessFamily, WitnessReport
 from .decompose import CommutatorPair, DecompositionResult, SolverInfo, VerificationReport
@@ -63,12 +63,20 @@ def matrix_to_json(op: Operator) -> dict:
 
 
 def matrix_from_json(data: dict) -> Operator:
+    """Read a matrix; raises ValueError for ragged rows or a non-finite entry."""
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError("matrix JSON needs an 'entries' field")
+    rows = data["entries"]
+    for r, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"matrix row {r} has {len(row)} entries, row 0 has {len(rows[0])}")
     entries = np.array(
-        [[complex(cell[0], cell[1]) for cell in row] for row in data["entries"]],
+        [[complex(cell[0], cell[1]) for cell in row] for row in rows],
         dtype=complex,
     )
+    bad = np.argwhere(~np.isfinite(entries))
+    if len(bad):
+        raise ValueError(f"matrix entry at row {bad[0][0]}, column {bad[0][1]} is not finite")
     dim = data.get("dim")
     if dim is not None and int(dim) != entries.shape[0]:
         raise ValueError(f"declared dim {dim} but {entries.shape[0]} rows")
@@ -134,16 +142,6 @@ def witness_to_json(witness: WitnessFamily) -> dict:
     return out
 
 
-def _mask_from_labels(labels: tuple[str, ...] | None, degree: int | None) -> Operator | None:
-    if labels is None or degree is None:
-        return None
-    depth = max(len(w) for w in labels)
-    if degree > depth:
-        return None
-    diag = np.array([1.0 if len(w) <= depth - degree else 0.0 for w in labels], dtype=complex)
-    return Operator(np.diag(diag), labels)
-
-
 def witness_from_json(data: dict) -> WitnessFamily:
     backend = data.get("backend")
     if backend not in ("matrix", "symbolic"):
@@ -161,7 +159,7 @@ def witness_from_json(data: dict) -> WitnessFamily:
     degree = data.get("degree")
     mask = None
     if backend == "matrix":
-        mask = _mask_from_labels(elements[0].basis_labels, degree)
+        mask = interior_for_degree(elements[0].basis_labels, degree)
     return WitnessFamily(elements, backend, report, degree=degree, interior_mask=mask)
 
 
@@ -192,9 +190,7 @@ def decomposition_to_json(result: DecompositionResult, a=None, backend: str = "m
             }
             for pair in result.pairs
         ],
-        "residual_norm": result.residual_norm,
-        "residual_interior_norm": result.residual_interior_norm,
-        "trace_defect": result.trace_defect,
+        **verification_to_json(result),
         "solver": _solver_to_json(result.solver),
     }
     if a is not None:

@@ -17,11 +17,13 @@ tracial states.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cuntz import interior_indices, star_sums
 from .errors import DimensionMismatch, EmptyFamily
 from .linalg import Operator, frobenius_norm, op_norm
 
@@ -64,30 +66,11 @@ def commutator_span_family(generators, dim: int | None = None) -> CommutatorSpan
     for a in generators:
         if a.dim != d:
             raise DimensionMismatch(f"dim {a.dim} vs {d}")
-    span = tuple(
-        Operator(
-            a.entries.conj().T @ a.entries - a.entries @ a.entries.conj().T,
-            a.basis_labels,
-        )
-        for a in generators
-    )
-    return CommutatorSpanFamily(generators, span, d)
-
-
-def _compress(mat: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    if basis is None:
-        return mat
-    return basis.conj().T @ mat @ basis
-
-
-def _mask_basis(mask: Operator | None) -> np.ndarray | None:
-    if mask is None:
-        return None
-    w, v = np.linalg.eigh((mask.entries + mask.entries.conj().T) / 2)
-    cols = v[:, w > 0.5]
-    if cols.shape[1] == 0:
-        raise DimensionMismatch("interior mask has empty range")
-    return cols
+    span = []
+    for a in generators:
+        star, rng = star_sums((a,))
+        span.append(star - rng)
+    return CommutatorSpanFamily(generators, tuple(span), d)
 
 
 def commutator_distance(
@@ -100,13 +83,20 @@ def commutator_distance(
     Solves the Frobenius least-squares projection (Gram matrix regularized
     by 1e-12) and then runs ``polish_steps`` normalized subgradient steps of
     size 1/sqrt(step) on the operator-norm objective, keeping the best
-    iterate.  With ``interior_mask`` the whole problem is compressed to the
-    mask's range first.
+    iterate.  Each iterate costs one SVD, whose top singular triple gives
+    both its objective value and the next subgradient.  With
+    ``interior_mask``, a diagonal 0/1 projection, the whole problem is
+    compressed to the block the mask keeps first.
     """
-    basis = _mask_basis(interior_mask)
-    dim = family.dim if basis is None else basis.shape[1]
+    span = [c.entries for c in family.span_elements]
+    dim = family.dim
+    if interior_mask is not None:
+        keep = interior_indices(interior_mask, family.dim)
+        if keep.size == 0:
+            raise DimensionMismatch("interior mask has empty range")
+        span = [c[np.ix_(keep, keep)] for c in span]
+        dim = keep.size
     target = np.eye(dim, dtype=complex)
-    span = [_compress(c.entries, basis) for c in family.span_elements]
     if not span:
         return DistanceEstimate((), frobenius_norm(target), op_norm(target))
 
@@ -127,13 +117,16 @@ def commutator_distance(
             res -= t[j] * span[j]
         return res
 
-    best_t = coeffs.copy()
-    residual = residual_of(best_t)
-    best_op = op_norm(residual)
-    frob = frobenius_norm(residual_of(coeffs))
-    t = coeffs.copy()
-    for step in range(1, polish_steps + 1):
-        u, sigma, vh = np.linalg.svd(residual_of(t))
+    t = coeffs
+    residual = residual_of(t)
+    frob = frobenius_norm(residual)
+    best_t, best_op = t, math.inf
+    for step in itertools.count(1):
+        u, sigma, vh = np.linalg.svd(residual)
+        if sigma[0] < best_op:
+            best_t, best_op = t, float(sigma[0])
+        if step > polish_steps:
+            break
         top_u = u[:, 0]
         top_v = vh[0, :].conj()
         grad = np.array(
@@ -143,10 +136,7 @@ def commutator_distance(
         if norm_grad < 1e-15:
             break
         t = t - (1.0 / math.sqrt(step)) * grad / norm_grad
-        value = op_norm(residual_of(t))
-        if value < best_op:
-            best_op = value
-            best_t = t.copy()
+        residual = residual_of(t)
     return DistanceEstimate(tuple(float(v) for v in best_t), frob, best_op)
 
 

@@ -21,15 +21,21 @@ an explicit symbolic family that reaches t0 = 1/J for any J >= 1.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cuntz
-from .cuntz import StarPolynomial, fock_truncation, interior_projection
+from .cuntz import (
+    StarPolynomial,
+    fock_truncation,
+    interior_for_degree,
+    interior_indices,
+    interior_projection,
+    star_sums,
+)
 from .errors import DimensionMismatch, EmptyFamily, GeneratorMismatch, TraceObstruction
-from .linalg import Operator, op_norm, psd_sqrt
+from .linalg import Operator, identity, op_norm, psd_sqrt
 
 __all__ = [
     "WitnessReport",
@@ -76,37 +82,28 @@ class CandidateFamily:
     norms_exact: bool = True
 
 
-def _as_family(elements) -> tuple:
+def _family(elements, symbolic: bool | None = None) -> tuple:
+    """A non-empty family of StarPolynomials (symbolic) or of Operators, with a
+    common generator count or dimension; by default of the first element's kind."""
     family = tuple(elements)
     if not family:
         raise EmptyFamily("family contains no elements")
+    if symbolic is None:
+        symbolic = isinstance(family[0], StarPolynomial)
+    kind = StarPolynomial if symbolic else Operator
+    for b in family:
+        if not isinstance(b, kind):
+            raise TypeError(f"expected a {'symbolic' if symbolic else 'matrix'} family")
+        if symbolic and b.n != family[0].n:
+            raise GeneratorMismatch(f"{b.n} generators vs {family[0].n}")
+        if not symbolic and b.dim != family[0].dim:
+            raise DimensionMismatch(f"dim {b.dim} vs {family[0].dim}")
     return family
+
 
 def _require_witness_size(family: tuple):
     if len(family) < 2:
         raise EmptyFamily("a witness family needs at least 2 elements")
-
-
-def _matrix_family(elements) -> tuple[Operator, ...]:
-    family = _as_family(elements)
-    dim = family[0].dim
-    for b in family:
-        if not isinstance(b, Operator):
-            raise TypeError("expected a matrix family")
-        if b.dim != dim:
-            raise DimensionMismatch(f"dim {b.dim} vs {dim}")
-    return family
-
-
-def _symbolic_family(elements) -> tuple[StarPolynomial, ...]:
-    family = _as_family(elements)
-    n_gen = family[0].n
-    for b in family:
-        if not isinstance(b, StarPolynomial):
-            raise TypeError("expected a symbolic family")
-        if b.n != n_gen:
-            raise GeneratorMismatch(f"{b.n} generators vs {n_gen}")
-    return family
 
 
 def _is_valid(eta1: float, eta2: float, tol: float) -> bool:
@@ -125,24 +122,29 @@ def check_witness(
     eta1_interior = ||(sum b_i* b_i - 1) p||, the defect away from the
     truncation boundary.  Validity always uses the unmasked eta1.
     """
-    family = _matrix_family(family)
+    family = _family(family, symbolic=False)
     _require_witness_size(family)
     dim = family[0].dim
-    sum_star = np.zeros((dim, dim), dtype=complex)
-    sum_range = np.zeros((dim, dim), dtype=complex)
-    for b in family:
-        sum_star = sum_star + b.adjoint().entries @ b.entries
-        sum_range = sum_range + b.entries @ b.adjoint().entries
-    defect = sum_star - np.eye(dim)
+    sum_star, sum_range = star_sums(family)
+    defect = sum_star - identity(dim)
     eta1 = op_norm(defect)
     eta2 = op_norm(sum_range)
     eta1_interior = None
     if interior_mask is not None:
-        if interior_mask.dim != dim:
-            raise DimensionMismatch("interior mask dimension differs from the family")
-        eta1_interior = op_norm(defect @ interior_mask.entries)
+        eta1_interior = op_norm(defect.entries[:, interior_indices(interior_mask, dim)])
     report = WitnessReport(eta1, eta2, _is_valid(eta1, eta2, tol), eta1_interior)
     return WitnessFamily(family, "matrix", report, interior_mask=interior_mask)
+
+
+def _symbolic_witness(family, tol: float, range_norm) -> WitnessFamily:
+    """A symbolic family with its report; eta2 = range_norm(sum b_i b_i*)."""
+    family = _family(family, symbolic=True)
+    _require_witness_size(family)
+    sum_star, sum_range = star_sums(family)
+    eta1 = cuntz.coefficient_norm(sum_star - cuntz.unit(family[0].n))
+    eta2 = range_norm(sum_range)
+    report = WitnessReport(eta1, eta2, _is_valid(eta1, eta2, tol))
+    return WitnessFamily(family, "symbolic", report, degree=max(b.degree for b in family))
 
 
 def check_witness_symbolic(family, tol: float = 1e-10, depth: int = 4) -> WitnessFamily:
@@ -153,47 +155,31 @@ def check_witness_symbolic(family, tol: float = 1e-10, depth: int = 4) -> Witnes
     Fock truncation of the given depth: a lower bound that grows with
     depth, and exact whenever that element is diagonal in the word basis.
     """
-    family = _symbolic_family(family)
-    _require_witness_size(family)
-    n_gen = family[0].n
-    sum_star = cuntz.zero_poly(n_gen)
-    sum_range = cuntz.zero_poly(n_gen)
-    for b in family:
-        sum_star = cuntz.add(sum_star, cuntz.multiply(cuntz.adjoint(b), b))
-        sum_range = cuntz.add(sum_range, cuntz.multiply(b, cuntz.adjoint(b)))
-    eta1 = cuntz.coefficient_norm(cuntz.add(sum_star, -cuntz.unit(n_gen)))
-    eta2 = op_norm(cuntz.evaluate(sum_range, fock_truncation(n_gen, depth)))
-    report = WitnessReport(eta1, eta2, _is_valid(eta1, eta2, tol))
-    degree = max(b.degree for b in family)
-    return WitnessFamily(family, "symbolic", report, degree=degree)
+    return _symbolic_witness(
+        family, tol, lambda s: op_norm(cuntz.evaluate(s, fock_truncation(s.n, depth)))
+    )
+
+
+def _unit_like(element):
+    if isinstance(element, StarPolynomial):
+        return cuntz.unit(element.n)
+    return identity(element.dim)
+
+
+def _stats_and_sum_star(elements) -> tuple[CandidateFamily, object]:
+    """``candidate_stats`` together with the sum a_i* a_i it is computed from."""
+    family = _family(elements)
+    sum_star, sum_range = star_sums(family)
+    diff = _unit_like(family[0]) - (sum_star - sum_range)
+    if isinstance(diff, StarPolynomial):
+        t0, k = cuntz.symbolic_norm(diff), cuntz.symbolic_norm(sum_star)
+        return CandidateFamily(family, t0.value, k.value, t0.exact and k.exact), sum_star
+    return CandidateFamily(family, op_norm(diff), op_norm(sum_star), True), sum_star
 
 
 def candidate_stats(elements) -> CandidateFamily:
     """Compute t0 = ||1 - sum(a_i* a_i - a_i a_i*)|| and k = ||sum a_i* a_i||."""
-    family = _as_family(elements)
-    if isinstance(family[0], StarPolynomial):
-        family = _symbolic_family(family)
-        n_gen = family[0].n
-        sum_star = cuntz.zero_poly(n_gen)
-        diff = cuntz.unit(n_gen)
-        for a in family:
-            star = cuntz.multiply(cuntz.adjoint(a), a)
-            ran = cuntz.multiply(a, cuntz.adjoint(a))
-            sum_star = cuntz.add(sum_star, star)
-            diff = cuntz.add(diff, cuntz.add(-star, ran))
-        t0_est = cuntz.symbolic_norm(diff)
-        k_est = cuntz.symbolic_norm(sum_star)
-        return CandidateFamily(family, t0_est.value, k_est.value, t0_est.exact and k_est.exact)
-    family = _matrix_family(family)
-    dim = family[0].dim
-    sum_star = np.zeros((dim, dim), dtype=complex)
-    diff = np.eye(dim, dtype=complex)
-    for a in family:
-        star = a.adjoint().entries @ a.entries
-        ran = a.entries @ a.adjoint().entries
-        sum_star = sum_star + star
-        diff = diff - star + ran
-    return CandidateFamily(family, op_norm(diff), op_norm(sum_star), True)
+    return _stats_and_sum_star(elements)[0]
 
 
 def build_witness(candidates, tol: float = 1e-10) -> WitnessFamily:
@@ -205,40 +191,20 @@ def build_witness(candidates, tol: float = 1e-10) -> WitnessFamily:
     coefficient-wise on the prefix tree and so requires k - sum a_i* a_i to
     be a recognized combination of word projections.
     """
-    stats = candidate_stats(candidates)
+    stats, sum_star = _stats_and_sum_star(candidates)
     if stats.t0 >= 1.0 - tol:
         raise TraceObstruction(stats.t0)
     if stats.k <= tol:
         raise EmptyFamily("candidate family is numerically zero")
     scale = 1.0 / math.sqrt(stats.k)
     family = stats.elements
-    if isinstance(family[0], StarPolynomial):
-        n_gen = family[0].n
-        sum_star = cuntz.zero_poly(n_gen)
-        for a in family:
-            sum_star = cuntz.add(sum_star, cuntz.multiply(cuntz.adjoint(a), a))
-        gap = cuntz.add(cuntz.multiply_scalar(cuntz.unit(n_gen), stats.k), -sum_star)
-        extra = cuntz.diagonal_sqrt(gap, tol=max(tol, 1e-12))
-        elements = [cuntz.multiply_scalar(a, scale) for a in family]
-        elements.append(cuntz.multiply_scalar(extra, scale))
-        sum_star_b = cuntz.zero_poly(n_gen)
-        sum_range_b = cuntz.zero_poly(n_gen)
-        for b in elements:
-            sum_star_b = cuntz.add(sum_star_b, cuntz.multiply(cuntz.adjoint(b), b))
-            sum_range_b = cuntz.add(sum_range_b, cuntz.multiply(b, cuntz.adjoint(b)))
-        eta1 = cuntz.coefficient_norm(cuntz.add(sum_star_b, -cuntz.unit(n_gen)))
-        eta2 = cuntz.symbolic_norm(sum_range_b).value
-        report = WitnessReport(eta1, eta2, _is_valid(eta1, eta2, tol))
-        degree = max(b.degree for b in elements)
-        return WitnessFamily(tuple(elements), "symbolic", report, degree=degree)
-    dim = family[0].dim
-    sum_star = np.zeros((dim, dim), dtype=complex)
-    for a in family:
-        sum_star = sum_star + a.adjoint().entries @ a.entries
-    gap = Operator(stats.k * np.eye(dim) - sum_star)
-    extra = psd_sqrt(gap, tol=max(tol, 1e-9))
-    elements = [scale * a for a in family] + [scale * extra]
-    return check_witness(elements, tol=tol)
+    gap = stats.k * _unit_like(family[0]) - sum_star
+    if isinstance(gap, Operator):
+        extra = psd_sqrt(gap, tol=max(tol, 1e-9))
+        return check_witness([scale * a for a in family] + [scale * extra], tol=tol)
+    extra = cuntz.diagonal_sqrt(gap, tol=max(tol, 1e-12))
+    elements = [scale * b for b in (*family, extra)]
+    return _symbolic_witness(elements, tol, lambda s: cuntz.symbolic_norm(s).value)
 
 
 def standard_isometry_witness(n: int, depth: int | None = None) -> WitnessFamily:
@@ -259,8 +225,7 @@ def standard_isometry_witness(n: int, depth: int | None = None) -> WitnessFamily
     isometries = cuntz.truncated_isometries(n, depth)
     elements = [scale * v for v in isometries]
     mask = interior_projection(fock_truncation(n, depth), depth - 1)
-    checked = check_witness(elements, interior_mask=mask)
-    return WitnessFamily(checked.elements, "matrix", checked.report, degree=1, interior_mask=mask)
+    return dataclasses.replace(check_witness(elements, interior_mask=mask), degree=1)
 
 
 def toeplitz_candidate_family(J: int) -> list[StarPolynomial]:
@@ -282,9 +247,8 @@ def toeplitz_candidate_family(J: int) -> list[StarPolynomial]:
     for j in range(1, J + 1):
         lam = (J - j + 1) / J
         left = cuntz.word_isometry(n_gen, (1,) * (j - 1))
-        right = cuntz.adjoint(cuntz.word_isometry(n_gen, (1,) * j))
-        a = cuntz.multiply(cuntz.multiply(left, q), right)
-        family.append(cuntz.multiply_scalar(a, math.sqrt(lam)))
+        right = cuntz.word_isometry(n_gen, (1,) * j).adjoint()
+        family.append(math.sqrt(lam) * (left @ q @ right))
     return family
 
 
@@ -300,10 +264,5 @@ def evaluate_witness(witness: WitnessFamily, depth: int, tol: float = 1e-10) -> 
     trunc = fock_truncation(witness.elements[0].n, depth)
     elements = [cuntz.evaluate(b, trunc) for b in witness.elements]
     degree = witness.degree or max(b.degree for b in witness.elements)
-    mask = None
-    if degree <= depth:
-        mask = interior_projection(trunc, depth - degree)
-    checked = check_witness(elements, tol=tol, interior_mask=mask)
-    return WitnessFamily(
-        checked.elements, "matrix", checked.report, degree=degree, interior_mask=mask
-    )
+    mask = interior_for_degree(trunc.labels, degree)
+    return dataclasses.replace(check_witness(elements, tol=tol, interior_mask=mask), degree=degree)

@@ -205,3 +205,58 @@ def test_console_script_entry_point(tmp_path):
     envelope = json.loads(proc.stdout)
     assert envelope["tool"] == "traceless"
     assert envelope["result"]["normal_form"] == "s1 s2*"
+
+
+def _matrix_file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _standard_witness_file(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    code, _, _ = run_cli(
+        capsys, "witness-gen", "--standard", "2", "--depth", "2", "--out", str(wfile)
+    )
+    assert code == 0
+    return wfile
+
+
+def test_non_finite_matrix_entry_is_an_input_error(tmp_path, capsys):
+    wfile = _standard_witness_file(tmp_path, capsys)
+    rng = np.random.default_rng(63)
+    data = matrix_to_json(random_hermitian(rng, 7, fock_truncation(2, 2).labels))
+    data["entries"][2][5][1] = float("nan")
+    afile = _matrix_file(tmp_path, "a.json", data)
+    code, envelope, _ = run_cli(capsys, "decompose", "--a", afile, "--witness", str(wfile))
+    assert code == 1
+    assert envelope["error"]["code"] == "input-error"
+    assert "row 2, column 5" in envelope["error"]["message"]
+
+
+def test_ragged_matrix_row_is_an_input_error(tmp_path, capsys):
+    wfile = _standard_witness_file(tmp_path, capsys)
+    rng = np.random.default_rng(64)
+    data = matrix_to_json(random_hermitian(rng, 7, fock_truncation(2, 2).labels))
+    del data["entries"][4][-1]
+    afile = _matrix_file(tmp_path, "a.json", data)
+    code, envelope, _ = run_cli(capsys, "decompose", "--a", afile, "--witness", str(wfile))
+    assert code == 1
+    assert envelope["error"]["code"] == "input-error"
+    assert "row 4" in envelope["error"]["message"]
+
+
+def test_labels_that_are_not_a_fock_basis_are_an_input_error(tmp_path, capsys):
+    wfile = _standard_witness_file(tmp_path, capsys)
+    witness = json.loads(wfile.read_text())
+    for element in witness["elements"]:
+        element["labels"][1], element["labels"][2] = element["labels"][2], element["labels"][1]
+    wfile.write_text(dumps(witness))
+    code, envelope, _ = run_cli(capsys, "witness-check", str(wfile))
+    assert code == 1
+    assert envelope["error"]["code"] == "input-error"
+    assert "Fock basis" in envelope["error"]["message"]
+    ffile = _matrix_file(tmp_path, "family.json", {"generators": witness["elements"]})
+    code, envelope, _ = run_cli(capsys, "dist", "--family", ffile, "--interior-length", "1")
+    assert code == 1
+    assert "Fock basis" in envelope["error"]["message"]

@@ -18,7 +18,7 @@ from traceless import (
     vacuum_projection,
     word_isometry,
 )
-from traceless.cuntz import diagonal_sqrt, symbolic_norm
+from traceless.cuntz import diagonal_sqrt, star_sums, symbolic_norm
 from traceless.errors import (
     GeneratorMismatch,
     IndexOutOfRange,
@@ -302,3 +302,22 @@ def test_pruning_and_invariants():
     assert p.is_zero
     with pytest.raises(IndexOutOfRange):
         StarPolynomial(2, {((3,), ()): 1.0})
+
+
+def test_matmul_is_the_product():
+    rng = np.random.default_rng(75)
+    for _ in range(10):
+        p, q = random_poly(rng), random_poly(rng)
+        assert equals(p @ q, multiply(p, q), 0.0)
+        assert equals(p @ q, p * q, 0.0)
+
+
+def test_star_sums_agree_across_backends():
+    trunc = fock_truncation(2, 4)
+    family = [parse_star_poly(text, 2) for text in ("0.5*s1 + s2 s1*", "s2* - 0.25*s1 s2")]
+    symbolic = star_sums(family)
+    matrices = star_sums([evaluate(b, trunc) for b in family])
+    # degree-2 products agree with the symbolic ones on words of length <= 2
+    inner = np.ix_(range(7), range(7))
+    for sym, mat in zip(symbolic, matrices):
+        assert np.allclose(evaluate(sym, trunc).entries[inner], mat.entries[inner], atol=1e-12)

@@ -361,3 +361,38 @@ def test_reverse_identity_random_polynomials():
         for b in ws.elements:
             total = total + commutator(adjoint(b), multiply(b, c))
         assert equals(total, c - apply_phi(c, ws), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one residual computation: the engine reports what the verifier recomputes
+# ---------------------------------------------------------------------------
+
+
+def _assert_report_matches(result, report):
+    assert result.residual_norm == report.residual_norm
+    assert result.residual_interior_norm == report.residual_interior_norm
+    assert result.trace_defect == report.trace_defect
+
+
+@pytest.mark.parametrize("solver", ["neumann", "direct"])
+def test_engine_and_verifier_agree_bitwise(toeplitz_witness_L5, solver):
+    rng = np.random.default_rng(70)
+    w = toeplitz_witness_L5
+    labels = w.elements[0].basis_labels
+    a = random_operator(rng, w.elements[0].dim, labels)
+    result = decompose_element(a, w, eps=1e-10, solver=solver)
+    _assert_report_matches(result, verify_decomposition(a, result.pairs, w.interior_mask))
+    g = random_operator(rng, w.elements[0].dim).entries
+    p = Operator(g @ g.conj().T / len(labels), labels)
+    result = decompose_positive(p, w, eps=1e-10, solver=solver)
+    _assert_report_matches(result, verify_decomposition(p, result.pairs, w.interior_mask))
+
+
+def test_symbolic_engine_and_verifier_agree_bitwise():
+    rng = np.random.default_rng(71)
+    ws = standard_isometry_witness(2)
+    for _ in range(5):
+        a, psi = random_poly(rng), random_poly(rng)
+        result = decompose_element(a, ws, psi=psi)
+        _assert_report_matches(result, verify_decomposition(a, result.pairs))
+        assert equals(result.residual, a - (psi - apply_phi(psi, ws)), 1e-12)

@@ -121,3 +121,14 @@ def test_trace_certificate_lower_bound():
         gap = abs(tau(Operator(eye - x)))
         assert gap == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(eye - x, 2) >= gap - 1e-10
+
+
+def test_reported_opnorm_is_the_norm_at_the_reported_coefficients():
+    rng = np.random.default_rng(76)
+    family = commutator_span_family([random_operator(rng, 12) for _ in range(3)])
+    for steps in (0, 1, 25):
+        estimate = commutator_distance(family, polish_steps=steps)
+        residual = np.eye(12) - sum(
+            t * c.entries for t, c in zip(estimate.coefficients, family.span_elements)
+        )
+        assert estimate.opnorm_residual == pytest.approx(op_norm(residual), rel=1e-13)
