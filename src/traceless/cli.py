@@ -28,6 +28,7 @@ from .serialization import (
     decomposition_to_json,
     dumps,
     element_from_json,
+    elements_from_json,
     estimate_to_json,
     family_from_json,
     matrix_to_json,
@@ -110,12 +111,9 @@ def _cmd_witness_build(args):
     if args.toeplitz is not None:
         candidates = toeplitz_candidate_family(args.toeplitz)
     else:
-        data = _load_json(args.candidates)
-        candidates = [element_from_json(e) for e in data["elements"]]
-    witness = build_witness(candidates, tol=args.tol)
-    if witness.backend == "symbolic":
-        checked = check_witness_symbolic(witness.elements, tol=args.tol, depth=args.depth)
-        witness = dataclasses.replace(witness, report=checked.report)
+        candidates = elements_from_json(_load_json(args.candidates))
+    built = build_witness(candidates, tol=args.tol)
+    witness = check_witness_symbolic(built.elements, tol=args.tol, depth=args.depth)
     artifact = witness_to_json(witness)
     return (0 if witness.report.valid else 2), {"witness": artifact}, artifact
 
@@ -150,7 +148,7 @@ def _cmd_decompose(args):
         result = decompose_positive(a, witness, eps=args.eps, solver=args.solver)
     else:
         result = decompose_element(a, witness, eps=args.eps, solver=args.solver)
-    artifact = decomposition_to_json(result, a=a, backend=witness.backend)
+    artifact = decomposition_to_json(result, a=a)
     if witness.degree is not None:
         artifact["interior_degree"] = witness.degree
     return 0, {"decomposition": artifact}, artifact

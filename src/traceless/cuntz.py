@@ -472,11 +472,6 @@ def parse_star_poly(text: str, n: int) -> StarPolynomial:
     return _interpret(_Parser(text).parse(), unit(n), n, lambda i: gen(n, i))
 
 
-def _format_float(value: float) -> str:
-    out = repr(float(value))
-    return out
-
-
 def _format_coefficient(coef: complex) -> tuple[str, str]:
     """Return (sign, magnitude-text) with sign in {'+', '-'}; '' marks coefficient one."""
     if abs(coef.imag) <= PRUNE_TOL:
@@ -485,14 +480,14 @@ def _format_coefficient(coef: complex) -> tuple[str, str]:
         mag = abs(real)
         if abs(mag - 1.0) <= PRUNE_TOL:
             return sign, ""
-        return sign, _format_float(mag)
+        return sign, repr(float(mag))
     sign = "+"
     if coef.real < 0 or (coef.real == 0 and coef.imag < 0):
         sign = "-"
         coef = -coef
     re_part, im_part = coef.real, coef.imag
     im_sign = "+" if im_part >= 0 else "-"
-    return sign, f"({_format_float(re_part)}{im_sign}{_format_float(abs(im_part))}i)"
+    return sign, f"({float(re_part)!r}{im_sign}{float(abs(im_part))!r}i)"
 
 
 def poly_to_string(p: StarPolynomial) -> str:
@@ -587,6 +582,8 @@ def interior_for_degree(labels, degree: int | None) -> Operator | None:
     with symbolic ones; None if either is None or the degree exceeds the depth."""
     if labels is None or degree is None:
         return None
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
     trunc = fock_truncation_from_labels(labels)
     if degree > trunc.depth:
         return None

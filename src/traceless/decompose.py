@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,8 @@ __all__ = [
     "verify_decomposition",
 ]
 
-DEFAULT_DIRECT_DIM = 64
+DIRECT_DIM_LIMIT = 64
+MAX_NEUMANN_ITERATIONS = 100000
 
 
 @dataclass(frozen=True)
@@ -137,34 +137,32 @@ def _left_multiply(b, m):
     return Operator(out, b.basis_labels)
 
 
-def _neumann_iterations(eta: float, norm_a: float, eps: float, max_iter: int) -> tuple[int, float]:
+def _neumann_iterations(eta: float, norm_a: float, eps: float) -> tuple[int, float]:
     """Smallest K with eta^(K+1) * ||a|| / (1 - eta) <= eps, plus that bound."""
     bound = eta * norm_a / (1.0 - eta)
     iterations = 0
     while bound > eps:
+        if iterations == MAX_NEUMANN_ITERATIONS:
+            raise MaxIterExceeded(f"tail bound still {bound:.3e} after {iterations} iterations")
         iterations += 1
         bound *= eta
-        if iterations > max_iter:
-            raise MaxIterExceeded(f"tail bound still {bound:.3e} after {max_iter} iterations")
     return iterations, bound
 
 
 def solve_psi_neumann(
-    a: Operator,
-    witness: WitnessFamily,
-    eps: float = 1e-10,
-    max_iter: int = 100000,
+    a: Operator, witness: WitnessFamily, eps: float = 1e-10
 ) -> tuple[Operator, int, float]:
     """Partial Neumann sum sum_{k=0}^K phi^k(a) with a certified tail.
 
     K is the smallest iteration count whose geometric tail bound
     eta2^(K+1) ||a|| / (1 - eta2) falls below eps; the bound is returned.
+    Raises MaxIterExceeded if K would exceed MAX_NEUMANN_ITERATIONS.
     """
     eta = witness.report.eta2
     if eta >= 1.0:
         raise NotContractive(f"eta2 = {eta!r} >= 1")
     norm_a = op_norm(a)
-    iterations, tail = _neumann_iterations(eta, norm_a, eps, max_iter)
+    iterations, tail = _neumann_iterations(eta, norm_a, eps)
     psi = a.entries.copy()
     term = a
     for _ in range(iterations):
@@ -173,19 +171,13 @@ def solve_psi_neumann(
     return Operator(psi, a.basis_labels), iterations, tail
 
 
-def _direct_dim_limit(max_dim: int | None) -> int:
-    if max_dim is not None:
-        return max_dim
-    return int(os.environ.get("CF_MAX_DIRECT_DIM", DEFAULT_DIRECT_DIM))
-
-
-def solve_psi_direct(a: Operator, witness: WitnessFamily, max_dim: int | None = None) -> Operator:
+def solve_psi_direct(a: Operator, witness: WitnessFamily) -> Operator:
     """Solve (Id - phi) X = a as one dim^2 x dim^2 linear system.
 
     Vectorizing column-major turns X -> b X b* into kron(conj(b), b), so the
     system matrix is I - sum_i kron(conj(b_i), b_i).  Cross-checks the
-    Neumann solver on small dimensions (limit 64 by default, overridable via
-    the CF_MAX_DIRECT_DIM environment variable or ``max_dim``).
+    Neumann solver on small dimensions: above DIRECT_DIM_LIMIT = 64 it raises
+    SizeLimitExceeded before building the system.
     """
     if witness.backend != "matrix":
         raise TypeError("direct solve needs a matrix witness")
@@ -193,9 +185,8 @@ def solve_psi_direct(a: Operator, witness: WitnessFamily, max_dim: int | None = 
     if eta >= 1.0:
         raise NotContractive(f"eta2 = {eta!r} >= 1")
     dim = a.dim
-    limit = _direct_dim_limit(max_dim)
-    if dim > limit:
-        raise SizeLimitExceeded(f"dim {dim} exceeds direct-solver limit {limit}")
+    if dim > DIRECT_DIM_LIMIT:
+        raise SizeLimitExceeded(f"dim {dim} exceeds direct-solver limit {DIRECT_DIM_LIMIT}")
     if dim != witness.elements[0].dim:
         raise DimensionMismatch(f"dim {dim} vs witness dim {witness.elements[0].dim}")
     system = np.eye(dim * dim, dtype=complex)
@@ -246,9 +237,9 @@ def _finish(a, witness, pairs, psi, solver: SolverInfo) -> DecompositionResult:
     )
 
 
-def _solve(a, witness, eps, solver, max_iter):
+def _solve(a, witness, eps, solver):
     if solver == "neumann":
-        psi, iterations, tail = solve_psi_neumann(a, witness, eps, max_iter)
+        psi, iterations, tail = solve_psi_neumann(a, witness, eps)
         return psi, SolverInfo("neumann", iterations, tail)
     if solver == "direct":
         return solve_psi_direct(a, witness), SolverInfo("direct", 0, 0.0)
@@ -261,7 +252,6 @@ def decompose_element(
     eps: float = 1e-10,
     solver: str = "neumann",
     psi=None,
-    max_iter: int = 100000,
 ) -> DecompositionResult:
     """Express a as sum_i [b_i*, b_i psi(a)] with verified residual.
 
@@ -274,16 +264,12 @@ def decompose_element(
     elif witness.backend == "symbolic":
         raise TypeError("symbolic decomposition needs an explicit psi")
     else:
-        psi, info = _solve(a, witness, eps, solver, max_iter)
+        psi, info = _solve(a, witness, eps, solver)
     return _finish(a, witness, _pairs_standard(witness, psi), psi, info)
 
 
 def decompose_positive(
-    a: Operator,
-    witness: WitnessFamily,
-    eps: float = 1e-10,
-    solver: str = "neumann",
-    max_iter: int = 100000,
+    a: Operator, witness: WitnessFamily, eps: float = 1e-10, solver: str = "neumann"
 ) -> DecompositionResult:
     """Express a positive element as a sum of n self-adjoint commutators.
 
@@ -297,7 +283,7 @@ def decompose_positive(
         raise NotPositive(
             f"input not positive: hermitian={report.is_hermitian}, min_eig={report.min_eig:.3e}"
         )
-    psi, info = _solve(a, witness, eps, solver, max_iter)
+    psi, info = _solve(a, witness, eps, solver)
     root = psd_sqrt(psi, tol=1e-9)
     pairs = []
     for b in witness.elements:

@@ -87,11 +87,11 @@ class Operator:
         return complex(np.trace(self.entries))
 
     def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, Operator):
-            if other.dim != self.dim:
-                raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-            return other.entries
-        return np.asarray(other, dtype=complex)
+        if not isinstance(other, Operator):
+            raise TypeError(f"Operator arithmetic needs an Operator, got {type(other).__name__}")
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+        return other.entries
 
     def __matmul__(self, other) -> "Operator":
         return Operator(self.entries @ self._coerce(other), self.basis_labels)

@@ -9,7 +9,8 @@ wire format, not the library, to n <= 9).
 
 Witnesses: {"backend": "matrix"|"symbolic", "n": count, "elements": [...],
 "report": {"eta1": ..., "eta2": ..., "valid": ...}} plus the optional keys
-"degree" and "eta1_interior" used to reconstruct interior masks.
+"degree" and "eta1_interior" used to reconstruct interior masks.  Candidates:
+{"backend": ..., "elements": [...]}.  Each element must match "backend".
 
 All writers emit keys in a fixed order and floats in shortest round-trip
 form, so identical objects serialize byte-identically.
@@ -17,13 +18,14 @@ form, so identical objects serialize byte-identically.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
 
 from .cuntz import StarPolynomial, interior_for_degree, word_from_string, word_to_string
 from .linalg import Operator
-from .witness import WitnessFamily, WitnessReport
+from .witness import WitnessFamily, WitnessReport, backend_of
 from .decompose import CommutatorPair, DecompositionResult, SolverInfo, VerificationReport
 from .tracedist import CommutatorSpanFamily, DistanceEstimate, commutator_span_family
 
@@ -36,6 +38,7 @@ __all__ = [
     "element_from_json",
     "witness_to_json",
     "witness_from_json",
+    "elements_from_json",
     "family_from_json",
     "decomposition_to_json",
     "decomposition_from_json",
@@ -62,8 +65,17 @@ def matrix_to_json(op: Operator) -> dict:
     return out
 
 
+def _cell(cell, r: int, c: int) -> complex:
+    try:
+        re, im = cell
+        return complex(re, im)
+    except (TypeError, ValueError):
+        raise ValueError(f"matrix entry at row {r}, column {c} is not an [re, im] pair") from None
+
+
 def matrix_from_json(data: dict) -> Operator:
-    """Read a matrix; raises ValueError for ragged rows or a non-finite entry."""
+    """Read a matrix; raises ValueError for ragged rows or a cell that is not a
+    finite [re, im] pair of numbers."""
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError("matrix JSON needs an 'entries' field")
     rows = data["entries"]
@@ -71,7 +83,7 @@ def matrix_from_json(data: dict) -> Operator:
         if len(row) != len(rows[0]):
             raise ValueError(f"matrix row {r} has {len(row)} entries, row 0 has {len(rows[0])}")
     entries = np.array(
-        [[complex(cell[0], cell[1]) for cell in row] for row in rows],
+        [[_cell(cell, r, c) for c, cell in enumerate(row)] for r, row in enumerate(rows)],
         dtype=complex,
     )
     bad = np.argwhere(~np.isfinite(entries))
@@ -102,12 +114,16 @@ def poly_to_json(p: StarPolynomial) -> dict:
 
 
 def poly_from_json(data: dict) -> StarPolynomial:
+    """Read a polynomial; raises ValueError for a non-finite coefficient."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("polynomial JSON needs an 'n' field")
     terms = {}
     for term in data.get("terms", []):
         key = (word_from_string(term["mu"]), word_from_string(term["nu"]))
-        terms[key] = terms.get(key, 0j) + complex(term["re"], term.get("im", 0.0))
+        coef = complex(term["re"], term.get("im", 0.0))
+        if not cmath.isfinite(coef):
+            raise ValueError(f"non-finite coefficient at mu={term['mu']!r}, nu={term['nu']!r}")
+        terms[key] = terms.get(key, 0j) + coef
     return StarPolynomial(int(data["n"]), terms)
 
 
@@ -142,11 +158,20 @@ def witness_to_json(witness: WitnessFamily) -> dict:
     return out
 
 
-def witness_from_json(data: dict) -> WitnessFamily:
+def elements_from_json(data: dict) -> tuple:
+    """The "elements" of a witness or candidates file, each of the "backend" kind."""
     backend = data.get("backend")
     if backend not in ("matrix", "symbolic"):
         raise ValueError(f"unknown witness backend {backend!r}")
     elements = tuple(element_from_json(e) for e in data.get("elements", []))
+    for i, element in enumerate(elements):
+        if backend_of(element) != backend:
+            raise ValueError(f"element {i} is not a {backend} element")
+    return elements
+
+
+def witness_from_json(data: dict) -> WitnessFamily:
+    elements = elements_from_json(data)
     if not elements:
         raise ValueError("witness JSON has no elements")
     report_data = data.get("report", {})
@@ -156,11 +181,11 @@ def witness_from_json(data: dict) -> WitnessFamily:
         bool(report_data.get("valid", False)),
         report_data.get("eta1_interior"),
     )
+    if isinstance(elements[0], StarPolynomial):
+        return WitnessFamily(elements, report, degree=max(b.degree for b in elements))
     degree = data.get("degree")
-    mask = None
-    if backend == "matrix":
-        mask = interior_for_degree(elements[0].basis_labels, degree)
-    return WitnessFamily(elements, backend, report, degree=degree, interior_mask=mask)
+    mask = interior_for_degree(elements[0].basis_labels, degree)
+    return WitnessFamily(elements, report, degree=degree, interior_mask=mask)
 
 
 def family_from_json(data: dict, dim: int | None = None) -> CommutatorSpanFamily:
@@ -176,11 +201,11 @@ def _solver_to_json(info: SolverInfo) -> dict:
     }
 
 
-def decomposition_to_json(result: DecompositionResult, a=None, backend: str = "matrix") -> dict:
+def decomposition_to_json(result: DecompositionResult, a=None) -> dict:
     """Decomposition report; embeds the decomposed element so that
     verification can run from the report alone."""
     out = {
-        "backend": backend,
+        "backend": backend_of(result.residual),
         "n": len(result.pairs),
         "pairs": [
             {

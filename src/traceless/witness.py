@@ -35,7 +35,7 @@ from .cuntz import (
     star_sums,
 )
 from .errors import DimensionMismatch, EmptyFamily, GeneratorMismatch, TraceObstruction
-from .linalg import Operator, identity, op_norm, psd_sqrt
+from .linalg import Operator, identity, op_norm
 
 __all__ = [
     "WitnessReport",
@@ -59,10 +59,14 @@ class WitnessReport:
     eta1_interior: float | None = None
 
 
+def backend_of(element) -> str:
+    """The backend an element belongs to: "symbolic" or "matrix"."""
+    return "symbolic" if isinstance(element, StarPolynomial) else "matrix"
+
+
 @dataclass(frozen=True)
 class WitnessFamily:
     elements: tuple
-    backend: str  # "matrix" | "symbolic"
     report: WitnessReport
     degree: int | None = None
     interior_mask: Operator | None = None
@@ -70,6 +74,10 @@ class WitnessFamily:
     @property
     def n(self) -> int:
         return len(self.elements)
+
+    @property
+    def backend(self) -> str:
+        return backend_of(self.elements[0])
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,7 @@ def check_witness(
     if interior_mask is not None:
         eta1_interior = op_norm(defect.entries[:, interior_indices(interior_mask, dim)])
     report = WitnessReport(eta1, eta2, _is_valid(eta1, eta2, tol), eta1_interior)
-    return WitnessFamily(family, "matrix", report, interior_mask=interior_mask)
+    return WitnessFamily(family, report, interior_mask=interior_mask)
 
 
 def _symbolic_witness(family, tol: float, range_norm) -> WitnessFamily:
@@ -144,7 +152,7 @@ def _symbolic_witness(family, tol: float, range_norm) -> WitnessFamily:
     eta1 = cuntz.coefficient_norm(sum_star - cuntz.unit(family[0].n))
     eta2 = range_norm(sum_range)
     report = WitnessReport(eta1, eta2, _is_valid(eta1, eta2, tol))
-    return WitnessFamily(family, "symbolic", report, degree=max(b.degree for b in family))
+    return WitnessFamily(family, report, degree=max(b.degree for b in family))
 
 
 def check_witness_symbolic(family, tol: float = 1e-10, depth: int = 4) -> WitnessFamily:
@@ -160,20 +168,15 @@ def check_witness_symbolic(family, tol: float = 1e-10, depth: int = 4) -> Witnes
     )
 
 
-def _unit_like(element):
-    if isinstance(element, StarPolynomial):
-        return cuntz.unit(element.n)
-    return identity(element.dim)
-
-
 def _stats_and_sum_star(elements) -> tuple[CandidateFamily, object]:
     """``candidate_stats`` together with the sum a_i* a_i it is computed from."""
     family = _family(elements)
     sum_star, sum_range = star_sums(family)
-    diff = _unit_like(family[0]) - (sum_star - sum_range)
-    if isinstance(diff, StarPolynomial):
+    if isinstance(sum_star, StarPolynomial):
+        diff = cuntz.unit(sum_star.n) - (sum_star - sum_range)
         t0, k = cuntz.symbolic_norm(diff), cuntz.symbolic_norm(sum_star)
         return CandidateFamily(family, t0.value, k.value, t0.exact and k.exact), sum_star
+    diff = identity(sum_star.dim) - (sum_star - sum_range)
     return CandidateFamily(family, op_norm(diff), op_norm(sum_star), True), sum_star
 
 
@@ -187,23 +190,19 @@ def build_witness(candidates, tol: float = 1e-10) -> WitnessFamily:
 
     Requires t0 < 1 (raises TraceObstruction otherwise; the threshold is
     1 - tol so that rounding noise cannot slip past an obstruction that
-    holds exactly).  For symbolic candidates the square root is taken
-    coefficient-wise on the prefix tree and so requires k - sum a_i* a_i to
-    be a recognized combination of word projections.
+    holds exactly).  Matrix candidates always raise it: the trace forces
+    t0 >= 1 even where rounding gives t0 one ulp below 1.  The square root
+    is taken coefficient-wise on the prefix tree and so requires
+    k - sum a_i* a_i to be a recognized combination of word projections.
     """
     stats, sum_star = _stats_and_sum_star(candidates)
-    if stats.t0 >= 1.0 - tol:
+    if isinstance(sum_star, Operator) or stats.t0 >= 1.0 - tol:
         raise TraceObstruction(stats.t0)
     if stats.k <= tol:
         raise EmptyFamily("candidate family is numerically zero")
     scale = 1.0 / math.sqrt(stats.k)
-    family = stats.elements
-    gap = stats.k * _unit_like(family[0]) - sum_star
-    if isinstance(gap, Operator):
-        extra = psd_sqrt(gap, tol=max(tol, 1e-9))
-        return check_witness([scale * a for a in family] + [scale * extra], tol=tol)
-    extra = cuntz.diagonal_sqrt(gap, tol=max(tol, 1e-12))
-    elements = [scale * b for b in (*family, extra)]
+    extra = cuntz.diagonal_sqrt(stats.k * cuntz.unit(sum_star.n) - sum_star, tol=max(tol, 1e-12))
+    elements = [scale * b for b in (*stats.elements, extra)]
     return _symbolic_witness(elements, tol, lambda s: cuntz.symbolic_norm(s).value)
 
 
@@ -221,7 +220,7 @@ def standard_isometry_witness(n: int, depth: int | None = None) -> WitnessFamily
     if depth is None:
         elements = tuple(cuntz.multiply_scalar(cuntz.gen(n, i), scale) for i in range(1, n + 1))
         report = WitnessReport(eta1=0.0, eta2=1.0 / n, valid=True)
-        return WitnessFamily(elements, "symbolic", report, degree=1)
+        return WitnessFamily(elements, report, degree=1)
     isometries = cuntz.truncated_isometries(n, depth)
     elements = [scale * v for v in isometries]
     mask = interior_projection(fock_truncation(n, depth), depth - 1)
@@ -263,6 +262,6 @@ def evaluate_witness(witness: WitnessFamily, depth: int, tol: float = 1e-10) -> 
         raise TypeError("can only evaluate a symbolic witness")
     trunc = fock_truncation(witness.elements[0].n, depth)
     elements = [cuntz.evaluate(b, trunc) for b in witness.elements]
-    degree = witness.degree or max(b.degree for b in witness.elements)
+    degree = max(b.degree for b in witness.elements)
     mask = interior_for_degree(trunc.labels, degree)
     return dataclasses.replace(check_witness(elements, tol=tol, interior_mask=mask), degree=degree)

@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from traceless import fock_truncation
+from traceless import fock_truncation, identity, parse_star_poly
 from traceless.cli import main
-from traceless.serialization import dumps, matrix_to_json
+from traceless.serialization import dumps, matrix_to_json, poly_to_json
 from traceless.witness import toeplitz_candidate_family
 
 from helpers import random_hermitian, random_operator
@@ -260,3 +260,54 @@ def test_labels_that_are_not_a_fock_basis_are_an_input_error(tmp_path, capsys):
     code, envelope, _ = run_cli(capsys, "dist", "--family", ffile, "--interior-length", "1")
     assert code == 1
     assert "Fock basis" in envelope["error"]["message"]
+
+
+_SYMBOLIC = ["--standard", "2"]
+_D2, _D3, _D6 = (["--standard", "2", "--depth", str(depth)] for depth in (2, 3, 6))
+_CHECK = ["witness-check", "{w}"]
+_DECOMPOSE = ["decompose", "--a", "{a}", "--witness", "{w}"]
+# case: (witness-gen arguments for {w}, file to edit, key path in it, new
+# value, command); {a} is a valid d = 7 matrix
+MALFORMED = {
+    "symbolic-as-matrix-check": (_SYMBOLIC, "w", ["backend"], "matrix", _CHECK),
+    "symbolic-as-matrix-decompose": (_SYMBOLIC, "w", ["backend"], "matrix", _DECOMPOSE),
+    "matrix-as-symbolic-check": (_D6, "w", ["backend"], "symbolic", _CHECK),
+    "matrix-as-symbolic-decompose": (
+        _D6, "w", ["backend"], "symbolic", [*_DECOMPOSE, "--depth", "6"]
+    ),
+    "matrix-witness-with-polynomial": (
+        _D2, "w", ["elements", 1], poly_to_json(parse_star_poly("s1", 2)), _CHECK
+    ),
+    "mixed-candidates": (
+        ["--toeplitz-candidates", "2"], "w", ["elements", 0], matrix_to_json(identity(3)),
+        ["witness-build", "--candidates", "{w}"],
+    ),
+    "nan-coefficient": (
+        _SYMBOLIC, "w", ["elements", 0, "terms", 0, "re"], float("nan"), _CHECK
+    ),
+    "cell-too-short": (_D2, "a", ["entries", 3, 2], [0], _DECOMPOSE),
+    "cell-not-a-number": (_D2, "a", ["entries", 3, 2], ["x", 0], _DECOMPOSE),
+    "cell-bare-number": (_D2, "a", ["entries", 3, 2], 0.5, _DECOMPOSE),
+    **{f"degree-{v!r}": (_D3, "w", ["degree"], v, _CHECK) for v in ("1", 1.5, True, -1)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_is_an_input_error(tmp_path, capsys, case):
+    gen_args, target, path, value, command = MALFORMED[case]
+    files = {"w": tmp_path / "w.json", "a": tmp_path / "a.json"}
+    assert main(["witness-gen", *gen_args, "--out", str(files["w"])]) == 0
+    a = random_hermitian(np.random.default_rng(66), 7, fock_truncation(2, 2).labels)
+    files["a"].write_text(dumps(matrix_to_json(a)))
+    data = json.loads(files[target].read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    files[target].write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main([arg.format(**files) for arg in command])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"]["code"] == "input-error"
+    assert captured.err == ""

@@ -1,4 +1,4 @@
-import os
+import math
 
 import numpy as np
 import pytest
@@ -138,9 +138,13 @@ def test_neumann_rejects_expansive_witness():
 
 
 def test_neumann_max_iter():
-    w = standard_isometry_witness(2, depth=2)
+    # eta2 = 1 - 1e-6 needs about 7e8 terms to reach eps = 1e-300, far past
+    # MAX_NEUMANN_ITERATIONS; the count is refused before any phi is applied
+    b = math.sqrt((1 - 1e-6) / 2) * identity(2)
+    w = check_witness([b, b])
+    assert w.report.eta2 == pytest.approx(1 - 1e-6, abs=1e-12)
     with pytest.raises(MaxIterExceeded):
-        solve_psi_neumann(identity(7), w, eps=1e-300, max_iter=10)
+        solve_psi_neumann(identity(2), w, eps=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +170,17 @@ def test_direct_agrees_with_neumann():
     assert op_norm(direct - neumann) <= 1e-10
 
 
-def test_direct_size_limit_and_env_override():
-    w = standard_isometry_witness(2, depth=2)
-    a = identity(7)
+def test_direct_size_limit_and_env_override(monkeypatch):
+    # d = 127 is above the fixed limit of 64; the refusal comes before the
+    # d^2 x d^2 system (4 GB here) is allocated
+    big = standard_isometry_witness(2, depth=6)
     with pytest.raises(SizeLimitExceeded):
-        solve_psi_direct(a, w, max_dim=3)
-    old = os.environ.get("CF_MAX_DIRECT_DIM")
-    os.environ["CF_MAX_DIRECT_DIM"] = "3"
-    try:
-        with pytest.raises(SizeLimitExceeded):
-            solve_psi_direct(a, w)
-    finally:
-        if old is None:
-            del os.environ["CF_MAX_DIRECT_DIM"]
-        else:
-            os.environ["CF_MAX_DIRECT_DIM"] = old
-    assert op_norm(solve_psi_direct(a, w, max_dim=7) - solve_psi_direct(a, w)) <= 1e-12
+        solve_psi_direct(identity(127, big.elements[0].basis_labels), big)
+    # the limit is a constant: the environment no longer changes a solve
+    w = standard_isometry_witness(2, depth=2)
+    expected = solve_psi_direct(identity(7), w)
+    monkeypatch.setenv("CF_MAX_DIRECT_DIM", "3")
+    assert np.array_equal(solve_psi_direct(identity(7), w).entries, expected.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -120,3 +120,13 @@ def test_psd_sqrt_squares_back():
         y = psd_sqrt(x)
         assert op_norm(y @ y - x) <= 1e-9 * (1 + op_norm(x))
         assert positivity_check(y).is_psd
+
+
+def test_operator_arithmetic_needs_operator_operands():
+    # a bare number or array would broadcast over every entry instead of
+    # acting as a multiple of the identity
+    op = Operator(np.eye(2))
+    for other in (1, np.ones(2), np.eye(2)):
+        for combine in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y):
+            with pytest.raises(TypeError):
+                combine(op, other)

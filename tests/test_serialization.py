@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from traceless import Operator, equals, evaluate_witness, fock_truncation, op_norm
+from traceless import Operator, equals, evaluate_witness, fock_truncation, op_norm, parse_star_poly
 from traceless.decompose import decompose_element
 from traceless.serialization import (
     decomposition_from_json,
@@ -115,3 +115,12 @@ def test_floats_survive_round_trip():
     assert again.report.eta2 == witness.report.eta2
     for a, b in zip(witness.elements, again.elements):
         assert equals(a, b, 0.0)
+
+
+def test_decomposition_backend_follows_the_elements():
+    a = parse_star_poly("s1 s2*", 2)
+    symbolic = decompose_element(a, standard_isometry_witness(2), psi=a)
+    assert decomposition_to_json(symbolic, a=a)["backend"] == "symbolic"
+    witness = standard_isometry_witness(2, depth=2)
+    matrix = decompose_element(random_hermitian(np.random.default_rng(53), 7), witness)
+    assert decomposition_to_json(matrix)["backend"] == "matrix"

@@ -209,6 +209,16 @@ def test_build_witness_scaling_invariance():
     assert w1.report.eta2 == pytest.approx(w2.report.eta2, abs=1e-12)
 
 
+def test_unitary_candidate_rounded_below_one_is_an_obstruction():
+    # for a unitary u, 1 - (u*u - uu*) is 1 up to rounding, and this QR factor
+    # rounds t0 one ulp below 1; the trace still forbids a matrix witness
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    assert candidate_stats([Operator(q)]).t0 < 1.0
+    with pytest.raises(TraceObstruction):
+        build_witness([Operator(q)], tol=0.0)
+
+
 def test_build_witness_symbolic_sqrt_unsupported():
     # k - sum a*a is not a combination of word projections here
     family = [gen(2, 1), multiply_scalar(gen(2, 1) + adjoint(gen(2, 2)), 0.1)]
