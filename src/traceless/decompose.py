@@ -24,7 +24,12 @@ phi is a gather, scale and scatter on the nonzero-row block,
     phi(a)[r, r] += outer(v, conj(v)) * a[c, c],
 
 which costs O(|rows|^2), and b @ psi is a row gather costing O(|rows| d).
-Any other element takes the dense product, O(d^3).  The residual fields of a
+Any other element takes the dense product, O(d^3).  The Neumann solver
+applies phi once per term and stops after the first term phi^K(a) whose
+certified tail eta2 / (1 - eta2) * min(eta2^K ||a||_F, ||phi^K(a)||_F) is at
+most eps; each Frobenius norm costs O(d^2) and no SVD is taken.  On a
+nilpotent truncation (the standard witness at depth L) it stops at the first
+zero term, K = L + 1, with tail 0.0.  The residual fields of a
 result come from the same code as ``verify_decomposition``, which always
 recomputes densely from the pairs alone, independent of the engine it checks.
 """
@@ -137,8 +142,9 @@ def _left_multiply(b, m):
     return Operator(out, b.basis_labels)
 
 
-def _neumann_iterations(eta: float, norm_a: float, eps: float) -> tuple[int, float]:
-    """Smallest K with eta^(K+1) * ||a|| / (1 - eta) <= eps, plus that bound."""
+def _check_iteration_cap(eta: float, norm_a: float, eps: float) -> None:
+    """Raise MaxIterExceeded if the a-priori count, the smallest K with
+    eta^(K+1) * norm_a / (1 - eta) <= eps, exceeds MAX_NEUMANN_ITERATIONS."""
     bound = eta * norm_a / (1.0 - eta)
     iterations = 0
     while bound > eps:
@@ -146,7 +152,6 @@ def _neumann_iterations(eta: float, norm_a: float, eps: float) -> tuple[int, flo
             raise MaxIterExceeded(f"tail bound still {bound:.3e} after {iterations} iterations")
         iterations += 1
         bound *= eta
-    return iterations, bound
 
 
 def solve_psi_neumann(
@@ -154,20 +159,35 @@ def solve_psi_neumann(
 ) -> tuple[Operator, int, float]:
     """Partial Neumann sum sum_{k=0}^K phi^k(a) with a certified tail.
 
-    K is the smallest iteration count whose geometric tail bound
-    eta2^(K+1) ||a|| / (1 - eta2) falls below eps; the bound is returned.
-    Raises MaxIterExceeded if K would exceed MAX_NEUMANN_ITERATIONS.
+    After adding term k it bounds the remainder sum_{m>=1} phi^m(phi^k(a))
+    in operator norm by
+
+        tail_k = eta2 / (1 - eta2) * min(eta2^k ||a||_F, ||phi^k(a)||_F),
+
+    using ||phi^m|| <= eta2^m and ||x|| <= ||x||_F, and returns (psi, K,
+    tail_K) at the first K with tail_K <= eps.  The first argument of the min
+    caps K at the a-priori count for ||a||_F; the second stops at the first
+    exactly zero term of a nilpotent phi with tail 0.0.  phi is applied
+    exactly K times.  Raises MaxIterExceeded, before applying phi, if the
+    a-priori count exceeds MAX_NEUMANN_ITERATIONS.
     """
     eta = witness.report.eta2
     if eta >= 1.0:
         raise NotContractive(f"eta2 = {eta!r} >= 1")
-    norm_a = op_norm(a)
-    iterations, tail = _neumann_iterations(eta, norm_a, eps)
+    ratio = eta / (1.0 - eta)
+    norm_a = float(np.linalg.norm(a.entries))
+    _check_iteration_cap(eta, norm_a, eps)
     psi = a.entries.copy()
     term = a
-    for _ in range(iterations):
+    # the bound sequence of _check_iteration_cap, so K never exceeds its count
+    prior = tail = eta * norm_a / (1.0 - eta)
+    iterations = 0
+    while tail > eps:
         term = apply_phi(term, witness)
         psi += term.entries
+        iterations += 1
+        prior *= eta
+        tail = min(prior, ratio * float(np.linalg.norm(term.entries)))
     return Operator(psi, a.basis_labels), iterations, tail
 
 

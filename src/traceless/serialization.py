@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import sys
 
 import numpy as np
 
@@ -65,21 +66,34 @@ def matrix_to_json(op: Operator) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    """A decoded JSON number that converts to a float: a float, or an int (so
+    not a bool) no larger in magnitude than the largest float."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def _cell(cell, r: int, c: int) -> complex:
     try:
         re, im = cell
-        return complex(re, im)
     except (TypeError, ValueError):
-        raise ValueError(f"matrix entry at row {r}, column {c} is not an [re, im] pair") from None
+        re = im = None
+    # a float pair, as every writer emits, skips the int range test
+    if (type(re) is float or _is_number(re)) and (type(im) is float or _is_number(im)):
+        return complex(re, im)
+    raise ValueError(f"matrix entry at row {r}, column {c} is not an [re, im] pair")
 
 
 def matrix_from_json(data: dict) -> Operator:
-    """Read a matrix; raises ValueError for ragged rows or a cell that is not a
-    finite [re, im] pair of numbers."""
+    """Read a matrix; raises ValueError for a row that is not a list, ragged
+    rows or a cell that is not a finite [re, im] pair of numbers."""
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError("matrix JSON needs an 'entries' field")
     rows = data["entries"]
+    if not isinstance(rows, list):
+        raise ValueError("matrix 'entries' is not a list of rows")
     for r, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"matrix row {r} is not a list")
         if len(row) != len(rows[0]):
             raise ValueError(f"matrix row {r} has {len(row)} entries, row 0 has {len(rows[0])}")
     entries = np.array(
@@ -114,15 +128,19 @@ def poly_to_json(p: StarPolynomial) -> dict:
 
 
 def poly_from_json(data: dict) -> StarPolynomial:
-    """Read a polynomial; raises ValueError for a non-finite coefficient."""
+    """Read a polynomial; raises ValueError for a coefficient part "re" or
+    "im" that is not a finite JSON number."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("polynomial JSON needs an 'n' field")
     terms = {}
     for term in data.get("terms", []):
         key = (word_from_string(term["mu"]), word_from_string(term["nu"]))
-        coef = complex(term["re"], term.get("im", 0.0))
+        re, im = term["re"], term.get("im", 0.0)
+        coef = complex(re, im) if _is_number(re) and _is_number(im) else cmath.nan
         if not cmath.isfinite(coef):
-            raise ValueError(f"non-finite coefficient at mu={term['mu']!r}, nu={term['nu']!r}")
+            raise ValueError(
+                f"coefficient at mu={term['mu']!r}, nu={term['nu']!r} is not a finite number"
+            )
         terms[key] = terms.get(key, 0j) + coef
     return StarPolynomial(int(data["n"]), terms)
 

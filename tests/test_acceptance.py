@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v`` (the verdict lines are
 repeated in the terminal summary).
 """
 
-import math
 import time
 
 import numpy as np
@@ -76,9 +75,11 @@ def test_criterion_2_reverse_identity_suite():
 
 
 def test_criterion_3_psi_closed_form():
+    # phi^k(1) = 2^-k P_{len >= k} on the depth-L truncation, so phi^(L+1)(1)
+    # = 0 and the series stops at the nilpotency index L + 1
     eps = 1e-12
     worst_entry = 0.0
-    iteration_gaps = []
+    counts = []
     for depth in (3, 4, 5, 6):
         witness = standard_isometry_witness(2, depth=depth)
         labels = witness.elements[0].basis_labels
@@ -87,16 +88,15 @@ def test_criterion_3_psi_closed_form():
         psi, iterations, _ = solve_psi_neumann(one, witness, eps=eps)
         expected = np.diag([2.0 - 2.0 ** (-len(w)) for w in labels])
         worst_entry = max(worst_entry, float(np.max(np.abs(psi.entries - expected))))
-        eta = witness.report.eta2
-        bound = math.ceil(math.log(eps * (1 - eta) / 1.0) / math.log(eta))
-        iteration_gaps.append(abs(iterations - bound))
-    ok = worst_entry <= 1e-12 and max(iteration_gaps) <= 1
+        counts.append((iterations, depth + 1))
+    exact = all(iterations == index for iterations, index in counts)
+    ok = worst_entry <= 1e-12 and exact
     record_criterion(
         3, ok, f"psi(1) closed form at L=3..6: worst entry error {worst_entry:.2e}, "
-        f"iteration gap <= {max(iteration_gaps)}"
+        f"iterations {[i for i, _ in counts]} (nilpotency index L + 1)"
     )
     assert worst_entry <= 1e-12
-    assert max(iteration_gaps) <= 1
+    assert exact
 
 
 def test_criterion_4_solver_cross_validation():

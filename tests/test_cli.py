@@ -288,6 +288,20 @@ MALFORMED = {
     "cell-too-short": (_D2, "a", ["entries", 3, 2], [0], _DECOMPOSE),
     "cell-not-a-number": (_D2, "a", ["entries", 3, 2], ["x", 0], _DECOMPOSE),
     "cell-bare-number": (_D2, "a", ["entries", 3, 2], 0.5, _DECOMPOSE),
+    "cell-boolean": (_D2, "a", ["entries", 3, 2], [True, 0.0], _DECOMPOSE),
+    "cell-int-past-float-range": (_D2, "a", ["entries", 3, 2], [10**400, 0], _DECOMPOSE),
+    "row-not-a-list": (_D2, "a", ["entries", 0], 5, _DECOMPOSE),
+    "entries-not-a-list": (_D2, "a", ["entries"], 5, _DECOMPOSE),
+    **{
+        f"coefficient-{part}-{kind}": (
+            _SYMBOLIC, "w", ["elements", 0, "terms", 0, part], value, _CHECK
+        )
+        for part in ("re", "im")
+        for kind, value in [
+            ("string", "0.5"), ("null", None), ("list", [0.5]), ("object", {"re": 0.5}),
+            ("boolean", True), ("int-past-float-range", 10**400),
+        ]
+    },
     **{f"degree-{v!r}": (_D3, "w", ["degree"], v, _CHECK) for v in ("1", 1.5, True, -1)},
 }
 

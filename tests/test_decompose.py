@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceless import (
     Operator,
@@ -33,7 +36,7 @@ from traceless.witness import (
     toeplitz_candidate_family,
 )
 
-from helpers import brute_neumann, random_hermitian, random_operator, random_poly
+from helpers import brute_neumann, brute_phi, random_hermitian, random_operator, random_poly
 
 
 @pytest.fixture(scope="module")
@@ -117,18 +120,28 @@ def test_neumann_closed_form_diagonal():
 
 
 def test_neumann_iteration_count():
-    # smallest K with (1/2)^(K+1) * 1 / (1 - 1/2) <= 1e-10, solved by brute loop
+    # phi^k(|vac><vac|) is the projection onto words of length k, so on the
+    # depth-2 truncation phi^3 of it is exactly 0 and ends the sum with tail
+    # 0.0; the count is replayed below with raw dense phi and the same rule
     w = standard_isometry_witness(2, depth=2)
     a = Operator(np.diag([1.0] + [0.0] * 6))
     _, iterations, tail = solve_psi_neumann(a, w, eps=1e-10)
     eta = w.report.eta2
+    family = [b.entries for b in w.elements]
+    term = a.entries
     k = 0
-    bound = eta / (1 - eta)
-    while bound > 1e-10:
+    prior = eta * np.linalg.norm(term) / (1 - eta)
+    while min(prior, eta / (1 - eta) * np.linalg.norm(term)) > 1e-10:
+        term = brute_phi(term, family)
         k += 1
-        bound *= eta
-    assert iterations == k == 34
-    assert tail <= 1e-10
+        prior *= eta
+    assert iterations == k == 3
+    assert tail == 0.0
+    # never past the a-priori count: the smallest K with
+    # (1/2)^(K+1) * 1 / (1 - 1/2) <= 1e-10
+    k_prior = _a_priori_count(eta, 1.0, 1e-10)
+    assert k_prior == 34
+    assert iterations <= k_prior
 
 
 def test_neumann_rejects_expansive_witness():
@@ -181,6 +194,66 @@ def test_direct_size_limit_and_env_override(monkeypatch):
     expected = solve_psi_direct(identity(7), w)
     monkeypatch.setenv("CF_MAX_DIRECT_DIM", "3")
     assert np.array_equal(solve_psi_direct(identity(7), w).entries, expected.entries)
+
+
+def _a_priori_count(eta: float, norm_a: float, eps: float) -> int:
+    """Smallest K with eta^(K+1) * norm_a / (1 - eta) <= eps, by brute loop."""
+    k = 0
+    bound = eta * norm_a / (1 - eta)
+    while bound > eps:
+        k += 1
+        bound *= eta
+    return k
+
+
+def _dense_contractive_family(dim: int, count: int, eta2: float) -> list[Operator]:
+    """Random dense elements scaled so that ||sum b b*|| = eta2; no element is
+    a partial map, so apply_phi takes the dense product."""
+    rng = np.random.default_rng(76)
+    gs = [random_operator(rng, dim) for _ in range(count)]
+    scale = math.sqrt(eta2 / np.linalg.norm(sum(g.entries @ g.entries.conj().T for g in gs), 2))
+    return [scale * g for g in gs]
+
+
+# every witness has d <= 63, inside the direct solver's limit
+CERTIFICATE_WITNESSES = {
+    **{
+        f"standard-{n}-{depth}": functools.partial(standard_isometry_witness, n, depth=depth)
+        for n, depth in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
+    },
+    "toeplitz-2-4": lambda: evaluate_witness(build_witness(toeplitz_candidate_family(2)), 4),
+    "dense-31": lambda: check_witness(_dense_contractive_family(31, 3, 0.8)),
+    # phi(a) = 0.9 a on 1 x 1 matrices, where the Frobenius and operator
+    # norms agree, so the remainder equals the tail bound up to rounding
+    "scalar-1": lambda: check_witness([math.sqrt(0.45) * identity(1)] * 2),
+}
+
+
+@functools.cache
+def _certificate_witness(name):
+    return CERTIFICATE_WITNESSES[name]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(CERTIFICATE_WITNESSES)),
+    st.booleans(),
+    st.floats(1e-3, 1e3),
+    st.sampled_from([1e-4, 1e-8, 1e-10, 1e-12]),
+    st.integers(0, 2**32 - 1),
+)
+def test_neumann_tail_certifies_distance_to_direct_solve(name, hermitian, scale, eps, seed):
+    w = _certificate_witness(name)
+    dim = w.elements[0].dim
+    if name == "dense-31":
+        assert all(b.partial_map is None for b in w.elements)
+    rng = np.random.default_rng(seed)
+    a = scale * (random_hermitian if hermitian else random_operator)(rng, dim)
+    psi, iterations, tail = solve_psi_neumann(a, w, eps=eps)
+    direct = solve_psi_direct(a, w)
+    assert tail <= eps
+    assert op_norm(direct - psi) <= tail + 1e-12 * max(1.0, np.linalg.norm(psi.entries))
+    assert iterations <= _a_priori_count(w.report.eta2, op_norm(a), eps)
 
 
 # ---------------------------------------------------------------------------

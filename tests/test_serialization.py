@@ -41,6 +41,18 @@ def test_matrix_validation():
         matrix_from_json({"dim": 3, "entries": [[[1.0, 0.0]]]})
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 2})
+    with pytest.raises(ValueError, match="row 1 is not a list"):
+        matrix_from_json({"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], 6]})
+    with pytest.raises(ValueError, match="row 0 is not a list"):
+        matrix_from_json({"dim": 2, "entries": [5, 6]})
+
+
+def test_poly_coefficient_error_names_the_term():
+    # the kinds of value refused are covered through the CLI in test_cli
+    for part, value in (("re", "0.5"), ("im", True)):
+        term = {"mu": "12", "nu": "2", "re": 0.5, "im": 0.0, part: value}
+        with pytest.raises(ValueError, match="mu='12', nu='2'"):
+            poly_from_json({"n": 2, "terms": [term]})
 
 
 def test_poly_round_trip():
