@@ -118,13 +118,13 @@ def _cmd_witness_build(args):
     return (0 if witness.report.valid else 2), {"witness": artifact}, artifact
 
 
-def _rechecked(witness, tol):
+def _rechecked(witness):
     """A matrix witness with its report recomputed from its elements.
 
     The Neumann iteration count and tail bound rest on eta2, so a file whose
     eta2 disagrees with its own elements is refused, not trusted.
     """
-    checked = check_witness(witness.elements, tol=tol, interior_mask=witness.interior_mask)
+    checked = check_witness(witness.elements, interior_mask=witness.interior_mask)
     if abs(checked.report.eta2 - witness.report.eta2) > _STALE_ETA2_TOL:
         raise StaleReport(
             f"witness file has eta2 = {witness.report.eta2!r}, "
@@ -139,9 +139,9 @@ def _cmd_decompose(args):
     if witness.backend == "symbolic":
         if args.depth is None:
             raise ValueError("a symbolic witness needs --depth to act on matrices")
-        witness = evaluate_witness(witness, args.depth, tol=args.tol)
+        witness = evaluate_witness(witness, args.depth)
     else:
-        witness = _rechecked(witness, args.tol)
+        witness = _rechecked(witness)
     if not isinstance(a, Operator):
         raise ValueError("decompose expects the element as a matrix JSON file")
     if args.positive:
@@ -232,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="element JSON file (matrix)")
     p.add_argument("--witness", required=True, help="witness JSON file")
     p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--solver", choices=("neumann", "direct"), default="neumann")
     p.add_argument("--depth", type=int, default=None, help="evaluate a symbolic witness first")
     p.add_argument("--positive", action="store_true", help="use self-adjoint commutator pairs")

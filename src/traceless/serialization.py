@@ -13,14 +13,23 @@ Witnesses: {"backend": "matrix"|"symbolic", "n": count, "elements": [...],
 {"backend": ..., "elements": [...]}.  Each element must match "backend".
 
 All writers emit keys in a fixed order and floats in shortest round-trip
-form, so identical objects serialize byte-identically.
+form, so identical objects serialize byte-identically.  ``dumps`` writes
+exactly the bytes of ``json.dumps(obj, indent=2, allow_nan=False) + "\n"``.
+It is hand-rolled because the standard library runs its C encoder only
+without ``indent``: with it, every float of a matrix goes through
+pure-Python generators, which made encoding the largest cost of a CLI run.
+Here a matrix row of ``[re, im]`` float cells becomes one string, built by
+``str.join`` over the cells' ``float.__repr__``, which is what ``json``
+uses for floats.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
+import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -50,16 +59,102 @@ __all__ = [
 
 
 def dumps(obj) -> str:
-    """Deterministic serialization: insertion order, 2-space indent."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """Deterministic serialization: insertion order, 2-space indent.
+
+    Byte-identical to ``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``
+    for str-keyed dicts, lists, tuples, str, int, float, bool and None:
+    ``ValueError`` for NaN or infinity, ``TypeError`` for any other type
+    or a dict key that is not a str.  Chunks go to one list, joined once, so
+    no intermediate string is larger than one matrix row.
+    """
+    chunks: list[str] = []
+    _encode(obj, 0, chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _scalar(value) -> str | None:
+    """The JSON text of a non-container value, or None for anything else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    return None
+
+
+def _float_pair_row(row, level: int) -> str | None:
+    """A list or tuple of [re, im] cells of finite floats rendered as one
+    string at indent ``level``, or None when ``row`` is anything else."""
+    if set(map(type, row)) != {list} or set(map(len, row)) != {2}:
+        return None
+    flat = list(chain.from_iterable(row))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    cell_indent = "\n" + "  " * (level + 1)
+    value_indent = cell_indent + "  "
+    reprs = map(float.__repr__, flat)
+    cells = (cell_indent + "]," + cell_indent + "[" + value_indent).join(
+        map(("," + value_indent).join, zip(reprs, reprs))
+    )
+    return (
+        "[" + cell_indent + "[" + value_indent + cells
+        + cell_indent + "]\n" + "  " * level + "]"
+    )
+
+
+def _encode(value, level: int, out: list[str]) -> None:
+    text = _scalar(value)
+    if text is not None:
+        out.append(text)
+        return
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        row = _float_pair_row(value, level)
+        if row is not None:
+            out.append(row)
+            return
+        indent = "\n" + "  " * (level + 1)
+        out.append("[" + indent)
+        for i, item in enumerate(value):
+            if i:
+                out.append("," + indent)
+            _encode(item, level + 1, out)
+        out.append("\n" + "  " * level + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        indent = "\n" + "  " * (level + 1)
+        out.append("{" + indent)
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            if i:
+                out.append("," + indent)
+            out.append(encode_basestring_ascii(key) + ": ")
+            _encode(item, level + 1, out)
+        out.append("\n" + "  " * level + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def matrix_to_json(op: Operator) -> dict:
+    e = op.entries
     out = {
         "dim": op.dim,
-        "entries": [
-            [[float(z.real), float(z.imag)] for z in row] for row in op.entries
-        ],
+        "entries": np.stack((e.real, e.imag), axis=-1).tolist(),
     }
     if op.basis_labels is not None:
         out["labels"] = list(op.basis_labels)
@@ -128,12 +223,21 @@ def poly_to_json(p: StarPolynomial) -> dict:
 
 
 def poly_from_json(data: dict) -> StarPolynomial:
-    """Read a polynomial; raises ValueError for a coefficient part "re" or
-    "im" that is not a finite JSON number."""
+    """Read a polynomial; raises ValueError for "terms" that is not a list,
+    a term that is not an object, a word "mu" or "nu" that is not a string,
+    or a coefficient part "re" or "im" that is not a finite JSON number."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("polynomial JSON needs an 'n' field")
+    terms_data = data.get("terms", [])
+    if not isinstance(terms_data, list):
+        raise ValueError("polynomial 'terms' is not a list")
     terms = {}
-    for term in data.get("terms", []):
+    for i, term in enumerate(terms_data):
+        if not isinstance(term, dict):
+            raise ValueError(f"polynomial term {i} is not an object")
+        for field in ("mu", "nu"):
+            if not isinstance(term.get(field), str):
+                raise ValueError(f"polynomial term {i} has a {field!r} that is not a string")
         key = (word_from_string(term["mu"]), word_from_string(term["nu"]))
         re, im = term["re"], term.get("im", 0.0)
         coef = complex(re, im) if _is_number(re) and _is_number(im) else cmath.nan
@@ -181,11 +285,18 @@ def elements_from_json(data: dict) -> tuple:
     backend = data.get("backend")
     if backend not in ("matrix", "symbolic"):
         raise ValueError(f"unknown witness backend {backend!r}")
-    elements = tuple(element_from_json(e) for e in data.get("elements", []))
-    for i, element in enumerate(elements):
+    elements_data = data.get("elements", [])
+    if not isinstance(elements_data, list):
+        raise ValueError("witness 'elements' is not a list")
+    elements = []
+    for i, element_data in enumerate(elements_data):
+        if not isinstance(element_data, dict):
+            raise ValueError(f"element {i} is not an object")
+        element = element_from_json(element_data)
         if backend_of(element) != backend:
             raise ValueError(f"element {i} is not a {backend} element")
-    return elements
+        elements.append(element)
+    return tuple(elements)
 
 
 def witness_from_json(data: dict) -> WitnessFamily:

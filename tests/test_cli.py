@@ -111,6 +111,7 @@ def test_decompose_verify_round_trip(tmp_path, capsys):
         str(dfile),
     )
     assert code == 0
+    assert "tol" not in envelope["config"]
     report = envelope["result"]["decomposition"]
     assert report["n"] == 5
     assert report["residual_interior_norm"] <= 1e-8
@@ -285,6 +286,12 @@ MALFORMED = {
     "nan-coefficient": (
         _SYMBOLIC, "w", ["elements", 0, "terms", 0, "re"], float("nan"), _CHECK
     ),
+    "mu-not-a-string": (_SYMBOLIC, "w", ["elements", 0, "terms", 0, "mu"], 5, _CHECK),
+    "nu-not-a-string": (_SYMBOLIC, "w", ["elements", 0, "terms", 0, "nu"], 5, _CHECK),
+    "terms-not-a-list": (_SYMBOLIC, "w", ["elements", 0, "terms"], 5, _CHECK),
+    "term-not-an-object": (_SYMBOLIC, "w", ["elements", 0, "terms", 0], 5, _CHECK),
+    "elements-not-a-list": (_SYMBOLIC, "w", ["elements"], 5, _CHECK),
+    "element-not-an-object": (_SYMBOLIC, "w", ["elements", 0], 5, _CHECK),
     "cell-too-short": (_D2, "a", ["entries", 3, 2], [0], _DECOMPOSE),
     "cell-not-a-number": (_D2, "a", ["entries", 3, 2], ["x", 0], _DECOMPOSE),
     "cell-bare-number": (_D2, "a", ["entries", 3, 2], 0.5, _DECOMPOSE),

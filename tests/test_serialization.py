@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceless import Operator, equals, evaluate_witness, fock_truncation, op_norm, parse_star_poly
 from traceless.decompose import decompose_element
@@ -136,3 +139,80 @@ def test_decomposition_backend_follows_the_elements():
     witness = standard_isometry_witness(2, depth=2)
     matrix = decompose_element(random_hermitian(np.random.default_rng(53), 7), witness)
     assert decomposition_to_json(matrix)["backend"] == "matrix"
+
+
+# floats json writes in shortest round-trip form, with the edge cases of
+# that form: a signed zero, the smallest subnormal, a huge value, 17 digits
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3]
+)
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def grids(draw, min_dim=0):
+    """matrix_to_json entries of a random complex matrix, d <= 4."""
+    d = draw(st.integers(min_dim, 4))
+    parts = draw(st.lists(FLOATS, min_size=2 * d * d, max_size=2 * d * d))
+    z = np.array(parts, dtype=float).view(complex).reshape(d, d)
+    return matrix_to_json(Operator(z))["entries"]
+
+
+@st.composite
+def fallback_grids(draw):
+    """A grid with one defect that the row fast path must refuse."""
+    grid = draw(grids(min_dim=1))
+    r = draw(st.integers(0, len(grid) - 1))
+    c = draw(st.integers(0, len(grid) - 1))
+    defect = draw(st.sampled_from(["int", "bool", "triple", "ragged", "empty"]))
+    if defect == "int":
+        grid[r][c][draw(st.integers(0, 1))] = draw(st.integers(-(2**70), 2**70))
+    elif defect == "bool":
+        grid[r][c][draw(st.integers(0, 1))] = draw(st.booleans())
+    elif defect == "triple":
+        grid[r][c].append(draw(FLOATS))
+    elif defect == "ragged":
+        del grid[r][c]
+    else:
+        grid[r] = []
+    return grid
+
+
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text()
+JSON_VALUES = st.recursive(
+    SCALARS | grids() | fallback_grids(),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_is_byte_identical_to_json(value):
+    assert dumps(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(grids(min_dim=1), st.sampled_from(NON_FINITE), st.data())
+def test_dumps_refuses_non_finite_floats(grid, bad, data):
+    r = data.draw(st.integers(0, len(grid) - 1))
+    c = data.draw(st.integers(0, len(grid) - 1))
+    grid[r][c][data.draw(st.integers(0, 1))] = bad
+    for value in (grid, {"entries": grid}, bad, [bad], {"eta2": bad}):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dumps(value)
+
+
+def test_matrix_to_json_entries_are_the_cell_floats():
+    z = np.array(
+        [[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(5e-324, -1e308), complex(1 / 3, -0.0)]]
+    )
+    entries = matrix_to_json(Operator(z))["entries"]
+    expected = [[[float(v.real), float(v.imag)] for v in row] for row in z]
+    assert entries == expected
+    flat = [x for row in entries for cell in row for x in cell]
+    assert all(type(x) is float for x in flat)
+    assert [math.copysign(1.0, x) for x in flat] == [-1, 1, 1, -1, 1, -1, 1, -1]
+    assert dumps(entries) == json.dumps(expected, indent=2) + "\n"
