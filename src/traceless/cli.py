@@ -14,7 +14,6 @@ emitted), 1 I/O or parse errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -101,7 +100,7 @@ def _cmd_witness_check(args):
     if witness.backend == "symbolic":
         checked = check_witness_symbolic(witness.elements, tol=args.tol, depth=args.depth)
     else:
-        checked = check_witness(witness.elements, tol=args.tol, interior_mask=witness.interior_mask)
+        checked = check_witness(witness.elements, tol=args.tol, degree=witness.degree)
     report = witness_to_json(checked)["report"]
     result = {"backend": checked.backend, "n": checked.n, "report": report}
     return (0 if checked.report.valid else 2), result, result
@@ -124,13 +123,13 @@ def _rechecked(witness):
     The Neumann iteration count and tail bound rest on eta2, so a file whose
     eta2 disagrees with its own elements is refused, not trusted.
     """
-    checked = check_witness(witness.elements, interior_mask=witness.interior_mask)
+    checked = check_witness(witness.elements, degree=witness.degree)
     if abs(checked.report.eta2 - witness.report.eta2) > _STALE_ETA2_TOL:
         raise StaleReport(
             f"witness file has eta2 = {witness.report.eta2!r}, "
             f"its elements give {checked.report.eta2!r}"
         )
-    return dataclasses.replace(witness, report=checked.report)
+    return checked
 
 
 def _cmd_decompose(args):

@@ -570,16 +570,18 @@ def truncated_isometries(n: int, depth: int) -> list[Operator]:
     return [evaluate(gen(n, i), trunc) for i in range(1, n + 1)]
 
 
-def interior_projection(trunc: FockTruncation, max_length: int) -> Operator:
-    """Diagonal projection onto words of length <= max_length."""
-    diag = np.array([1.0 if len(w) <= max_length else 0.0 for w in trunc.words], dtype=complex)
-    return Operator(np.diag(diag), trunc.labels)
+def interior_projection(trunc: FockTruncation, max_length: int) -> np.ndarray:
+    """The interior of words of length <= max_length: the diagonal of that
+    projection, a read-only bool vector with one entry per basis word."""
+    mask = np.array([len(w) <= max_length for w in trunc.words], dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
-def interior_for_degree(labels, degree: int | None) -> Operator | None:
-    """Projection onto words of length <= depth - degree of the Fock basis named
-    by ``labels``, where truncated products of degree-``degree`` elements agree
-    with symbolic ones; None if either is None or the degree exceeds the depth."""
+def interior_for_degree(labels, degree: int | None) -> np.ndarray | None:
+    """``interior_projection`` for words of length <= depth - degree of the Fock
+    basis named by ``labels``, where truncated products of degree-``degree``
+    elements agree with symbolic ones; None if either is None or degree > depth."""
     if labels is None or degree is None:
         return None
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
@@ -590,19 +592,15 @@ def interior_for_degree(labels, degree: int | None) -> Operator | None:
     return interior_projection(trunc, trunc.depth - degree)
 
 
-def interior_indices(mask: Operator, dim: int) -> np.ndarray:
-    """The basis indices an interior mask keeps, for operators of dimension ``dim``.
-
-    Raises DimensionMismatch for a mask of another size and ValueError for
-    anything but a diagonal 0/1 projection.
-    """
-    if mask.dim != dim:
-        raise DimensionMismatch(f"interior mask dim {mask.dim} vs {dim}")
-    diag = np.diagonal(mask.entries)
-    off_diagonal = np.count_nonzero(mask.entries) - np.count_nonzero(diag)
-    if off_diagonal or not np.all((diag == 0) | (diag == 1)):
-        raise ValueError("interior mask must be a diagonal 0/1 projection")
-    return np.flatnonzero(diag)
+def interior_indices(mask: np.ndarray, dim: int) -> np.ndarray:
+    """``mask`` checked as a bool index of a basis of dimension ``dim``: raises
+    ValueError for another dtype and DimensionMismatch for another shape."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise ValueError(f"interior mask must be a bool vector, got dtype {mask.dtype}")
+    if mask.shape != (dim,):
+        raise DimensionMismatch(f"interior mask shape {mask.shape} vs ({dim},)")
+    return mask
 
 
 def evaluate(p: StarPolynomial, trunc: FockTruncation) -> Operator:

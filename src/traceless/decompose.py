@@ -220,12 +220,12 @@ def _pairs_standard(witness: WitnessFamily, psi) -> tuple[CommutatorPair, ...]:
     return tuple(CommutatorPair(b.adjoint(), _left_multiply(b, psi)) for b in witness.elements)
 
 
-def _residual(a, pairs, interior_mask: Operator | None) -> tuple[object, VerificationReport]:
+def _residual(a, pairs, interior_mask: np.ndarray | None) -> tuple[object, VerificationReport]:
     """a - sum_i [x_i, y_i] recomputed from the pairs, with its report.
 
     The matrix sum accumulates in one array, adding x y and subtracting y x
     pair by pair in index order.  The interior norm ||p r p|| is taken on
-    the block that the diagonal 0/1 projection p keeps.
+    the block that the bool vector ``interior_mask`` keeps.
     """
     if isinstance(a, StarPolynomial):
         total = cuntz.zero_poly(a.n)
@@ -312,11 +312,14 @@ def decompose_positive(
     return _finish(a, witness, tuple(pairs), psi, info)
 
 
-def verify_decomposition(a, pairs, interior_mask: Operator | None = None) -> VerificationReport:
+def verify_decomposition(a, pairs, interior_mask: np.ndarray | None = None) -> VerificationReport:
     """Recompute sum_i [x_i, y_i] from scratch and report the residual.
 
     For matrices also reports |trace(sum contributions)|: commutators are
-    exactly trace-free, so this measures only rounding.  For symbolic input
-    the residual is an exact normal form and the trace defect is None.
+    exactly trace-free, so this measures only rounding.  ``interior_mask``
+    is a bool vector of length a.dim (``WitnessFamily.interior_mask``); the
+    interior norm is that of the residual on the basis vectors it keeps.
+    For symbolic input the residual is an exact normal form and the trace
+    defect is None.
     """
     return _residual(a, pairs, interior_mask)[1]

@@ -9,7 +9,8 @@ wire format, not the library, to n <= 9).
 
 Witnesses: {"backend": "matrix"|"symbolic", "n": count, "elements": [...],
 "report": {"eta1": ..., "eta2": ..., "valid": ...}} plus the optional keys
-"degree" and "eta1_interior" used to reconstruct interior masks.  Candidates:
+"degree", from which the interior of a Fock-labelled matrix witness is
+derived again on load, and "eta1_interior".  Candidates:
 {"backend": ..., "elements": [...]}.  Each element must match "backend".
 
 All writers emit keys in a fixed order and floats in shortest round-trip
@@ -33,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .cuntz import StarPolynomial, interior_for_degree, word_from_string, word_to_string
+from .cuntz import StarPolynomial, word_from_string, word_to_string
 from .linalg import Operator
 from .witness import WitnessFamily, WitnessReport, backend_of
 from .decompose import CommutatorPair, DecompositionResult, SolverInfo, VerificationReport
@@ -312,9 +313,7 @@ def witness_from_json(data: dict) -> WitnessFamily:
     )
     if isinstance(elements[0], StarPolynomial):
         return WitnessFamily(elements, report, degree=max(b.degree for b in elements))
-    degree = data.get("degree")
-    mask = interior_for_degree(elements[0].basis_labels, degree)
-    return WitnessFamily(elements, report, degree=degree, interior_mask=mask)
+    return WitnessFamily(elements, report, degree=data.get("degree"))
 
 
 def family_from_json(data: dict, dim: int | None = None) -> CommutatorSpanFamily:

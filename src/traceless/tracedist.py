@@ -76,7 +76,7 @@ def commutator_span_family(generators, dim: int | None = None) -> CommutatorSpan
 def commutator_distance(
     family: CommutatorSpanFamily,
     polish_steps: int = 200,
-    interior_mask: Operator | None = None,
+    interior_mask: np.ndarray | None = None,
 ) -> DistanceEstimate:
     """Best found upper bound on dist(1, span{c_i}).
 
@@ -85,17 +85,17 @@ def commutator_distance(
     size 1/sqrt(step) on the operator-norm objective, keeping the best
     iterate.  Each iterate costs one SVD, whose top singular triple gives
     both its objective value and the next subgradient.  With
-    ``interior_mask``, a diagonal 0/1 projection, the whole problem is
-    compressed to the block the mask keeps first.
+    ``interior_mask``, a bool vector of length ``family.dim``, the whole
+    problem is compressed first to the block of the basis vectors it keeps.
     """
     span = [c.entries for c in family.span_elements]
     dim = family.dim
     if interior_mask is not None:
         keep = interior_indices(interior_mask, family.dim)
-        if keep.size == 0:
+        dim = np.count_nonzero(keep)
+        if dim == 0:
             raise DimensionMismatch("interior mask has empty range")
         span = [c[np.ix_(keep, keep)] for c in span]
-        dim = keep.size
     target = np.eye(dim, dtype=complex)
     if not span:
         return DistanceEstimate((), frobenius_norm(target), op_norm(target))

@@ -9,7 +9,7 @@ Such a family certifies that the ambient algebra has no tracial state and
 powers the commutator decomposition engine.  Families live either in the
 symbolic isometry algebra or as matrices on a truncated Fock space; in the
 matrix picture eta1 always carries a boundary defect, which is why checks
-can also report eta1 against an interior projection.
+also report eta1 on the interior that a family's degree determines.
 
 ``build_witness`` runs the constructive route from candidate elements
 a_1..a_m with t0 = ||1 - sum(a_i* a_i - a_i a_i*)|| < 1: append
@@ -21,19 +21,13 @@ an explicit symbolic family that reaches t0 = 1/J for any J >= 1.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import cuntz
-from .cuntz import (
-    StarPolynomial,
-    fock_truncation,
-    interior_for_degree,
-    interior_indices,
-    interior_projection,
-    star_sums,
-)
+from .cuntz import StarPolynomial, fock_truncation, interior_for_degree, star_sums
 from .errors import DimensionMismatch, EmptyFamily, GeneratorMismatch, TraceObstruction
 from .linalg import Operator, identity, op_norm
 
@@ -66,10 +60,17 @@ def backend_of(element) -> str:
 
 @dataclass(frozen=True)
 class WitnessFamily:
+    """``interior_mask`` is ``cuntz.interior_for_degree`` of the first
+    element's basis labels and ``degree``, derived once, here."""
+
     elements: tuple
     report: WitnessReport
     degree: int | None = None
-    interior_mask: Operator | None = None
+    interior_mask: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        labels = None if self.backend == "symbolic" else self.elements[0].basis_labels
+        object.__setattr__(self, "interior_mask", interior_for_degree(labels, self.degree))
 
     @property
     def n(self) -> int:
@@ -121,27 +122,24 @@ def _is_valid(eta1: float, eta2: float, tol: float) -> bool:
     return eta1 <= tol and eta2 < 1.0 - tol
 
 
-def check_witness(
-    family, tol: float = 1e-10, interior_mask: Operator | None = None
-) -> WitnessFamily:
+def check_witness(family, tol: float = 1e-10, degree: int | None = None) -> WitnessFamily:
     """Validate a matrix family against the witness conditions.
 
-    With ``interior_mask`` p, additionally reports
-    eta1_interior = ||(sum b_i* b_i - 1) p||, the defect away from the
-    truncation boundary.  Validity always uses the unmasked eta1.
+    With a ``degree`` and Fock-labelled elements, additionally reports
+    eta1_interior = ||(sum b_i* b_i - 1) p||, p the projection onto the
+    interior, the defect away from the truncation boundary.  Validity
+    always uses the unmasked eta1.
     """
     family = _family(family, symbolic=False)
     _require_witness_size(family)
-    dim = family[0].dim
     sum_star, sum_range = star_sums(family)
-    defect = sum_star - identity(dim)
+    defect = sum_star - identity(family[0].dim)
     eta1 = op_norm(defect)
     eta2 = op_norm(sum_range)
-    eta1_interior = None
-    if interior_mask is not None:
-        eta1_interior = op_norm(defect.entries[:, interior_indices(interior_mask, dim)])
+    mask = interior_for_degree(family[0].basis_labels, degree)
+    eta1_interior = None if mask is None else op_norm(defect.entries[:, mask])
     report = WitnessReport(eta1, eta2, _is_valid(eta1, eta2, tol), eta1_interior)
-    return WitnessFamily(family, report, interior_mask=interior_mask)
+    return WitnessFamily(family, report, degree=degree)
 
 
 def _symbolic_witness(family, tol: float, range_norm) -> WitnessFamily:
@@ -221,10 +219,8 @@ def standard_isometry_witness(n: int, depth: int | None = None) -> WitnessFamily
         elements = tuple(cuntz.multiply_scalar(cuntz.gen(n, i), scale) for i in range(1, n + 1))
         report = WitnessReport(eta1=0.0, eta2=1.0 / n, valid=True)
         return WitnessFamily(elements, report, degree=1)
-    isometries = cuntz.truncated_isometries(n, depth)
-    elements = [scale * v for v in isometries]
-    mask = interior_projection(fock_truncation(n, depth), depth - 1)
-    return dataclasses.replace(check_witness(elements, interior_mask=mask), degree=1)
+    elements = [scale * v for v in cuntz.truncated_isometries(n, depth)]
+    return check_witness(elements, degree=1)
 
 
 def toeplitz_candidate_family(J: int) -> list[StarPolynomial]:
@@ -254,14 +250,11 @@ def toeplitz_candidate_family(J: int) -> list[StarPolynomial]:
 def evaluate_witness(witness: WitnessFamily, depth: int, tol: float = 1e-10) -> WitnessFamily:
     """Realize a symbolic witness on the Fock truncation of a given depth.
 
-    The interior mask is the projection onto words of length
-    <= depth - degree, on which the truncated matrices multiply exactly
-    like their symbolic counterparts.
+    The interior is the words of length <= depth - degree, on which the
+    truncated matrices multiply exactly like their symbolic counterparts.
     """
     if witness.backend != "symbolic":
         raise TypeError("can only evaluate a symbolic witness")
     trunc = fock_truncation(witness.elements[0].n, depth)
     elements = [cuntz.evaluate(b, trunc) for b in witness.elements]
-    degree = max(b.degree for b in witness.elements)
-    mask = interior_for_degree(trunc.labels, degree)
-    return dataclasses.replace(check_witness(elements, tol=tol, interior_mask=mask), degree=degree)
+    return check_witness(elements, tol=tol, degree=max(b.degree for b in witness.elements))

@@ -27,7 +27,13 @@ from traceless import (
 )
 from traceless.cuntz import adjoint, multiply_scalar, zero_poly
 from traceless.decompose import CommutatorPair
-from traceless.errors import MaxIterExceeded, NotContractive, NotPositive, SizeLimitExceeded
+from traceless.errors import (
+    DimensionMismatch,
+    MaxIterExceeded,
+    NotContractive,
+    NotPositive,
+    SizeLimitExceeded,
+)
 from traceless.witness import (
     build_witness,
     check_witness,
@@ -411,12 +417,13 @@ def test_interior_norm_slices_the_mask_and_rejects_non_projections(toeplitz_witn
     w = toeplitz_witness_L5
     a = random_hermitian(rng, w.elements[0].dim, w.elements[0].basis_labels)
     result = decompose_element(a, w, eps=1e-10)
-    p = w.interior_mask.entries
+    p = np.diag(w.interior_mask.astype(float))
     dense = op_norm(p @ result.residual.entries @ p)
     assert abs(result.residual_interior_norm - dense) <= 1e-12 * max(1.0, dense)
-    for bad in (0.5 * p, p + np.diag(np.ones(a.dim - 1), 1)):
-        with pytest.raises(ValueError):
-            verify_decomposition(a, result.pairs, interior_mask=Operator(bad))
+    with pytest.raises(ValueError):
+        verify_decomposition(a, result.pairs, interior_mask=w.interior_mask.astype(float))
+    with pytest.raises(DimensionMismatch):
+        verify_decomposition(a, result.pairs, interior_mask=w.interior_mask[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The interior mask: made in one place, read through one validated reader,
-and rejected by every consumer unless it is a diagonal 0/1 projection."""
+"""The interior: a read-only bool vector over the basis, made in one place,
+derived once per witness from its degree, and refused by every consumer
+unless it is a bool vector of the operators' dimension."""
 
 import json
 
@@ -8,20 +9,27 @@ import pytest
 
 from traceless import (
     Operator,
+    WitnessFamily,
     decompose_element,
+    evaluate_witness,
     fock_truncation,
     interior_projection,
     verify_decomposition,
 )
 from traceless.cuntz import fock_truncation_from_labels, interior_for_degree, interior_indices
 from traceless.errors import DimensionMismatch
-from traceless.serialization import dumps
+from traceless.serialization import dumps, witness_from_json, witness_to_json
 from traceless.tracedist import (
     CommutatorSpanFamily,
     commutator_distance,
     commutator_span_family,
 )
-from traceless.witness import check_witness, standard_isometry_witness
+from traceless.witness import (
+    build_witness,
+    check_witness,
+    standard_isometry_witness,
+    toeplitz_candidate_family,
+)
 
 from helpers import random_hermitian, random_operator
 
@@ -38,9 +46,7 @@ def test_mask_rebuilt_from_json_labels_equals_interior_projection(n, depth):
         if degree > depth:
             assert rebuilt is None
             continue
-        expected = interior_projection(trunc, depth - degree)
-        assert np.array_equal(rebuilt.entries, expected.entries)
-        assert rebuilt.basis_labels == expected.basis_labels
+        assert np.array_equal(rebuilt, interior_projection(trunc, depth - degree))
 
 
 @pytest.mark.parametrize(
@@ -62,16 +68,35 @@ def test_labels_that_are_not_a_fock_basis_are_rejected(labels):
 
 def test_interior_indices_reads_the_kept_basis_vectors():
     mask = interior_projection(fock_truncation(2, 3), 1)
-    assert interior_indices(mask, 15).tolist() == [0, 1, 2]
+    assert np.flatnonzero(interior_indices(mask, 15)).tolist() == [0, 1, 2]
     with pytest.raises(DimensionMismatch):
         interior_indices(mask, 7)
+    with pytest.raises(ValueError):
+        interior_indices(mask.astype(float), 15)
 
 
-def _bad_masks(p: np.ndarray):
-    return {
-        "half": 0.5 * p,
-        "superdiagonal": p + np.diag(np.ones(p.shape[0] - 1), 1),
+def test_every_interior_is_a_read_only_bool_vector_of_length_d():
+    trunc = fock_truncation(2, 3)
+    standard = standard_isometry_witness(2, depth=3)
+    toeplitz = evaluate_witness(build_witness(toeplitz_candidate_family(2)), 3)
+    masks = {
+        "interior_projection": interior_projection(trunc, 2),
+        "interior_for_degree": interior_for_degree(trunc.labels, 1),
+        "standard witness": standard.interior_mask,
+        "evaluated witness": toeplitz.interior_mask,
+        "loaded witness": witness_from_json(witness_to_json(standard)).interior_mask,
     }
+    for name, mask in masks.items():
+        assert mask.dtype == bool and mask.shape == (15,), name
+        assert not mask.flags.writeable, name
+        with pytest.raises(ValueError):
+            mask[-1] = True
+    assert masks["standard witness"].tolist() == [len(w) <= 2 for w in trunc.words]
+    kept = [len(w) <= 3 - toeplitz.degree for w in trunc.words]
+    assert masks["evaluated witness"].tolist() == kept
+    assert standard_isometry_witness(2).interior_mask is None
+    with pytest.raises(TypeError):
+        WitnessFamily(standard.elements, standard.report, interior_mask=standard.interior_mask)
 
 
 @pytest.fixture(scope="module")
@@ -82,43 +107,42 @@ def standard_case():
     return witness, a, decompose_element(a, witness)
 
 
-@pytest.mark.parametrize("bad", ["half", "superdiagonal"])
-@pytest.mark.parametrize(
-    "consumer", ["check_witness", "verify_decomposition", "commutator_distance"]
-)
+def _reject(consumer, witness, a, result, mask):
+    if consumer == "verify_decomposition":
+        verify_decomposition(a, result.pairs, interior_mask=mask)
+    else:
+        family = commutator_span_family(witness.elements)
+        commutator_distance(family, polish_steps=2, interior_mask=mask)
+
+
+@pytest.mark.parametrize("bad", ["half", "float"])
+@pytest.mark.parametrize("consumer", ["verify_decomposition", "commutator_distance"])
 def test_consumers_reject_masks_that_are_not_projections(standard_case, consumer, bad):
     witness, a, result = standard_case
-    mask = Operator(_bad_masks(witness.interior_mask.entries)[bad])
-    with pytest.raises(ValueError, match="diagonal 0/1 projection"):
-        if consumer == "check_witness":
-            check_witness(witness.elements, interior_mask=mask)
-        elif consumer == "verify_decomposition":
-            verify_decomposition(a, result.pairs, interior_mask=mask)
-        else:
-            family = commutator_span_family(witness.elements)
-            commutator_distance(family, polish_steps=2, interior_mask=mask)
+    p = witness.interior_mask.astype(float)
+    mask = {"half": 0.5 * p, "float": p}[bad]
+    with pytest.raises(ValueError, match="bool vector"):
+        _reject(consumer, witness, a, result, mask)
 
 
-def test_consumers_reject_a_mask_of_another_size(standard_case):
+@pytest.mark.parametrize("consumer", ["verify_decomposition", "commutator_distance"])
+def test_consumers_reject_a_mask_of_another_size(standard_case, consumer):
     witness, a, result = standard_case
-    mask = interior_projection(fock_truncation(2, 2), 1)
-    with pytest.raises(DimensionMismatch):
-        check_witness(witness.elements, interior_mask=mask)
-    with pytest.raises(DimensionMismatch):
-        verify_decomposition(a, result.pairs, interior_mask=mask)
-    with pytest.raises(DimensionMismatch):
-        commutator_distance(commutator_span_family(witness.elements), interior_mask=mask)
+    for mask in (interior_projection(fock_truncation(2, 2), 1), np.ones((15, 15), dtype=bool)):
+        with pytest.raises(DimensionMismatch):
+            _reject(consumer, witness, a, result, mask)
 
 
 def test_eta1_interior_is_the_defect_on_the_kept_columns():
     rng = np.random.default_rng(74)
     trunc = fock_truncation(2, 3)
-    family = [random_operator(rng, 15) for _ in range(2)]
-    mask = interior_projection(trunc, 2)
+    family = [random_operator(rng, 15, trunc.labels) for _ in range(2)]
+    p = np.diag(interior_for_degree(trunc.labels, 1).astype(float))
     defect = sum(b.adjoint().entries @ b.entries for b in family) - np.eye(15)
-    dense = np.linalg.norm(defect @ mask.entries, 2)
-    eta1_interior = check_witness(family, interior_mask=mask).report.eta1_interior
+    dense = np.linalg.norm(defect @ p, 2)
+    eta1_interior = check_witness(family, degree=1).report.eta1_interior
     assert eta1_interior == pytest.approx(dense, rel=1e-12)
+    assert check_witness(family).report.eta1_interior is None
 
 
 def test_compressed_distance_matches_the_sliced_problem():

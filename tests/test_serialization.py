@@ -95,7 +95,7 @@ def test_witness_round_trip_matrix_rebuilds_mask():
     witness = standard_isometry_witness(2, depth=3)
     again = witness_from_json(json.loads(dumps(witness_to_json(witness))))
     assert again.interior_mask is not None
-    assert np.array_equal(again.interior_mask.entries, witness.interior_mask.entries)
+    assert np.array_equal(again.interior_mask, witness.interior_mask)
 
 
 def test_decomposition_report_round_trip():

@@ -44,10 +44,9 @@ def _word_projection(word):
 def test_check_truncated_standard_witness():
     depth = 3
     brute = brute_isometries(2, depth)
-    family = [Operator(m / math.sqrt(2.0)) for m in brute]
-    trunc = fock_truncation(2, depth)
-    mask = interior_projection(trunc, depth - 1)
-    checked = check_witness(family, interior_mask=mask)
+    labels = fock_truncation(2, depth).labels
+    family = [Operator(m / math.sqrt(2.0), labels) for m in brute]
+    checked = check_witness(family, degree=1)
     assert checked.report.eta2 == pytest.approx(0.5, abs=1e-12)
     assert checked.report.eta1 == pytest.approx(1.0, abs=1e-12)
     assert checked.report.eta1_interior <= 1e-12
@@ -168,7 +167,7 @@ def test_toeplitz_brute_force_at_L_J_plus_2():
         for m in mats:
             total -= m.conj().T @ m - m @ m.conj().T
         trunc = fock_truncation(2, depth)
-        mask = interior_projection(trunc, depth - 1).entries
+        mask = np.diag(interior_projection(trunc, depth - 1).astype(float))
         compressed = mask @ total @ mask
         assert np.linalg.norm(compressed, 2) == pytest.approx(1.0 / J, abs=1e-12)
         expected = brute_poly_matrix(
