@@ -53,8 +53,12 @@ _STALE_ETA2_TOL = 1e-12
 
 
 def _load_json(path: str) -> dict:
+    """A JSON file whose top level is an object, as every input file is."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top level is not a JSON object")
+    return data
 
 
 def _cmd_eval(args):

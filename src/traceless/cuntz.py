@@ -485,7 +485,8 @@ def _format_coefficient(coef: complex) -> tuple[str, str]:
     if coef.real < 0 or (coef.real == 0 and coef.imag < 0):
         sign = "-"
         coef = -coef
-    re_part, im_part = coef.real, coef.imag
+    # + 0.0 turns a real part of -0.0 into 0.0: the parser reads no sign there
+    re_part, im_part = coef.real + 0.0, coef.imag
     im_sign = "+" if im_part >= 0 else "-"
     return sign, f"({float(re_part)!r}{im_sign}{float(abs(im_part))!r}i)"
 
@@ -582,10 +583,12 @@ def interior_for_degree(labels, degree: int | None) -> np.ndarray | None:
     """``interior_projection`` for words of length <= depth - degree of the Fock
     basis named by ``labels``, where truncated products of degree-``degree``
     elements agree with symbolic ones; None if either is None or degree > depth."""
-    if labels is None or degree is None:
+    if degree is None:
         return None
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
+    if labels is None:
+        return None
     trunc = fock_truncation_from_labels(labels)
     if degree > trunc.depth:
         return None

@@ -26,7 +26,6 @@ uses for floats.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from itertools import chain
@@ -181,7 +180,8 @@ def _cell(cell, r: int, c: int) -> complex:
 
 def matrix_from_json(data: dict) -> Operator:
     """Read a matrix; raises ValueError for a row that is not a list, ragged
-    rows or a cell that is not a finite [re, im] pair of numbers."""
+    rows, a cell that is not a finite [re, im] pair of numbers, a "dim" that
+    is not an integer or "labels" that is not a list of strings."""
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError("matrix JSON needs an 'entries' field")
     rows = data["entries"]
@@ -200,9 +200,15 @@ def matrix_from_json(data: dict) -> Operator:
     if len(bad):
         raise ValueError(f"matrix entry at row {bad[0][0]}, column {bad[0][1]} is not finite")
     dim = data.get("dim")
-    if dim is not None and int(dim) != entries.shape[0]:
+    if dim is not None and type(dim) is not int:
+        raise ValueError(f"matrix 'dim' is not an integer: {dim!r}")
+    if dim is not None and dim != entries.shape[0]:
         raise ValueError(f"declared dim {dim} but {entries.shape[0]} rows")
     labels = data.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(w, str) for w in labels)
+    ):
+        raise ValueError("matrix 'labels' is not a list of strings")
     return Operator(entries, tuple(labels) if labels is not None else None)
 
 
@@ -224,11 +230,14 @@ def poly_to_json(p: StarPolynomial) -> dict:
 
 
 def poly_from_json(data: dict) -> StarPolynomial:
-    """Read a polynomial; raises ValueError for "terms" that is not a list,
-    a term that is not an object, a word "mu" or "nu" that is not a string,
-    or a coefficient part "re" or "im" that is not a finite JSON number."""
+    """Read a polynomial; raises ValueError for an "n" that is not an integer,
+    "terms" that is not a list, a term that is not an object, a word "mu" or
+    "nu" that is not a string, or a coefficient part "re" or "im" that is not
+    a finite JSON number."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("polynomial JSON needs an 'n' field")
+    if type(data["n"]) is not int:
+        raise ValueError(f"polynomial 'n' is not an integer: {data['n']!r}")
     terms_data = data.get("terms", [])
     if not isinstance(terms_data, list):
         raise ValueError("polynomial 'terms' is not a list")
@@ -241,13 +250,14 @@ def poly_from_json(data: dict) -> StarPolynomial:
                 raise ValueError(f"polynomial term {i} has a {field!r} that is not a string")
         key = (word_from_string(term["mu"]), word_from_string(term["nu"]))
         re, im = term["re"], term.get("im", 0.0)
-        coef = complex(re, im) if _is_number(re) and _is_number(im) else cmath.nan
-        if not cmath.isfinite(coef):
+        coef = complex(re, im) if _is_number(re) and _is_number(im) else complex(math.nan)
+        # its modulus too, which StarPolynomial takes to prune terms
+        if not math.isfinite(math.hypot(coef.real, coef.imag)):
             raise ValueError(
                 f"coefficient at mu={term['mu']!r}, nu={term['nu']!r} is not a finite number"
             )
         terms[key] = terms.get(key, 0j) + coef
-    return StarPolynomial(int(data["n"]), terms)
+    return StarPolynomial(data["n"], terms)
 
 
 def element_to_json(element) -> dict:
@@ -257,6 +267,8 @@ def element_to_json(element) -> dict:
 
 
 def element_from_json(data: dict):
+    if not isinstance(data, dict):
+        raise ValueError("element JSON is not an object")
     if "terms" in data or ("n" in data and "entries" not in data):
         return poly_from_json(data)
     return matrix_from_json(data)
@@ -305,9 +317,14 @@ def witness_from_json(data: dict) -> WitnessFamily:
     if not elements:
         raise ValueError("witness JSON has no elements")
     report_data = data.get("report", {})
+    if not isinstance(report_data, dict):
+        raise ValueError("witness 'report' is not an object")
+    eta1, eta2 = (report_data.get(key, 0.0) for key in ("eta1", "eta2"))
+    if not (_is_number(eta1) and _is_number(eta2)):
+        raise ValueError("witness report 'eta1' and 'eta2' must be numbers")
     report = WitnessReport(
-        float(report_data.get("eta1", 0.0)),
-        float(report_data.get("eta2", 0.0)),
+        float(eta1),
+        float(eta2),
         bool(report_data.get("valid", False)),
         report_data.get("eta1_interior"),
     )
@@ -317,7 +334,10 @@ def witness_from_json(data: dict) -> WitnessFamily:
 
 
 def family_from_json(data: dict, dim: int | None = None) -> CommutatorSpanFamily:
-    generators = [matrix_from_json(g) for g in data.get("generators", [])]
+    generators_data = data.get("generators", [])
+    if not isinstance(generators_data, list):
+        raise ValueError("span 'generators' is not a list")
+    generators = [matrix_from_json(g) for g in generators_data]
     return commutator_span_family(generators, dim=dim)
 
 
@@ -353,14 +373,15 @@ def decomposition_to_json(result: DecompositionResult, a=None) -> dict:
 
 def decomposition_from_json(data: dict) -> tuple[object | None, list[CommutatorPair], dict]:
     """Return (a, pairs, raw) from a decomposition report."""
-    pairs = [
-        CommutatorPair(
-            element_from_json(p["x"]),
-            element_from_json(p["y"]),
-            bool(p.get("self_adjoint", False)),
-        )
-        for p in data.get("pairs", [])
-    ]
+    pairs_data = data.get("pairs", [])
+    if not isinstance(pairs_data, list):
+        raise ValueError("report 'pairs' is not a list")
+    pairs = []
+    for i, p in enumerate(pairs_data):
+        if not isinstance(p, dict):
+            raise ValueError(f"report pair {i} is not an object")
+        x, y = element_from_json(p["x"]), element_from_json(p["y"])
+        pairs.append(CommutatorPair(x, y, bool(p.get("self_adjoint", False))))
     a = element_from_json(data["a"]) if "a" in data else None
     return a, pairs, data
 

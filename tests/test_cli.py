@@ -267,8 +267,11 @@ _SYMBOLIC = ["--standard", "2"]
 _D2, _D3, _D6 = (["--standard", "2", "--depth", str(depth)] for depth in (2, 3, 6))
 _CHECK = ["witness-check", "{w}"]
 _DECOMPOSE = ["decompose", "--a", "{a}", "--witness", "{w}"]
-# case: (witness-gen arguments for {w}, file to edit, key path in it, new
-# value, command); {a} is a valid d = 7 matrix
+_VERIFY = ["verify", "--report", "{r}"]
+_DIST = ["dist", "--family", "{f}"]
+# case: (witness-gen arguments for {w}, file to edit, key path in it (empty
+# for the whole file), new value, command); {a} is a valid d = 7 matrix, {r}
+# its decomposition report over {w} and {f} the span family {"generators": [a]}
 MALFORMED = {
     "symbolic-as-matrix-check": (_SYMBOLIC, "w", ["backend"], "matrix", _CHECK),
     "symbolic-as-matrix-decompose": (_SYMBOLIC, "w", ["backend"], "matrix", _DECOMPOSE),
@@ -309,22 +312,43 @@ MALFORMED = {
             ("boolean", True), ("int-past-float-range", 10**400),
         ]
     },
+    "coefficient-modulus-past-float-range": (
+        _SYMBOLIC, "w", ["elements", 0, "terms", 0],
+        {"mu": "1", "nu": "", "re": 1.5e308, "im": 1.5e308}, _CHECK,
+    ),
     **{f"degree-{v!r}": (_D3, "w", ["degree"], v, _CHECK) for v in ("1", 1.5, True, -1)},
+    "witness-file-a-list": (_SYMBOLIC, "w", [], [], _CHECK),
+    "report-file-a-list": (_D2, "r", [], [], _VERIFY),
+    "report-not-an-object": (_SYMBOLIC, "w", ["report"], 5, _CHECK),
+    "report-eta1-a-list": (_D2, "w", ["report", "eta1"], [0.5], _CHECK),
+    "report-eta2-null": (_D2, "w", ["report", "eta2"], None, _DECOMPOSE),
+    "pairs-not-a-list": (_D2, "r", ["pairs"], 5, _VERIFY),
+    "pair-not-an-object": (_D2, "r", ["pairs", 0], 5, _VERIFY),
+    "pair-element-not-an-object": (_D2, "r", ["pairs", 0, "x"], 5, _VERIFY),
+    "dim-not-a-number": (_D2, "a", ["dim"], [7], _DECOMPOSE),
+    "labels-not-a-list": (_D2, "a", ["labels"], 5, _DECOMPOSE),
+    "label-not-a-string": (_D2, "a", ["labels", 1], 1, _DECOMPOSE),
+    "n-not-a-number": (_SYMBOLIC, "w", ["elements", 0, "n"], [2], _CHECK),
+    "generators-not-a-list": (_D2, "f", ["generators"], 5, _DIST),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_file_is_an_input_error(tmp_path, capsys, case):
     gen_args, target, path, value, command = MALFORMED[case]
-    files = {"w": tmp_path / "w.json", "a": tmp_path / "a.json"}
+    files = {name: tmp_path / f"{name}.json" for name in "wafr"}
     assert main(["witness-gen", *gen_args, "--out", str(files["w"])]) == 0
     a = random_hermitian(np.random.default_rng(66), 7, fock_truncation(2, 2).labels)
     files["a"].write_text(dumps(matrix_to_json(a)))
-    data = json.loads(files[target].read_text())
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    files["f"].write_text(dumps({"generators": [matrix_to_json(a)]}))
+    if target == "r":
+        assert main([arg.format(**files) for arg in [*_DECOMPOSE, "--out", "{r}"]]) == 0
+    data = value
+    if path:
+        data = node = json.loads(files[target].read_text())
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
     files[target].write_text(json.dumps(data))
     capsys.readouterr()
     code = main([arg.format(**files) for arg in command])

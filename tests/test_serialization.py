@@ -98,6 +98,16 @@ def test_witness_round_trip_matrix_rebuilds_mask():
     assert np.array_equal(again.interior_mask, witness.interior_mask)
 
 
+def test_bad_degree_is_refused_without_labels_too():
+    data = json.loads(dumps(witness_to_json(standard_isometry_witness(2, depth=2))))
+    for element in data["elements"]:
+        del element["labels"]
+    assert witness_from_json(data).interior_mask is None
+    data["degree"] = "1"
+    with pytest.raises(ValueError, match="degree"):
+        witness_from_json(data)
+
+
 def test_decomposition_report_round_trip():
     rng = np.random.default_rng(52)
     witness = evaluate_witness(build_witness(toeplitz_candidate_family(2)), 4)

@@ -80,6 +80,7 @@ def build(corpus: Corpus) -> None:
         "--out", "eval-compose.json")
     run("eval-syntax-error", "eval", "--expr", "s1 +", "--n", "2")
     run("eval-index-error", "eval", "--expr", "s3", "--n", "2")
+    run("eval-negative-imaginary", "eval", "--expr", "(0-2i)*s1", "--n", "2")
     for depth in (3, 4, 5, 6):
         run(f"a-d{depth}", "eval", "--expr", A_EXPR, "--n", "2", "--depth", str(depth),
             "--out", f"a-d{depth}.json")
@@ -157,6 +158,51 @@ def build(corpus: Corpus) -> None:
     mu_int["elements"][0]["terms"][0]["mu"] = 5
     write("w-mu-int.json", mu_int)
     run("check-mu-not-a-string", "witness-check", "w-mu-int.json")
+
+    # JSON values of the wrong type, each an input-error
+    def tampered(source, target, path, value):
+        data = load(source)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        write(target, data)
+
+    tampered("w-standard.json", "w-report-int.json", ["report"], 5)
+    run("check-report-not-an-object", "witness-check", "w-report-int.json")
+    tampered("w-standard-d3.json", "w-eta2-null.json", ["report", "eta2"], None)
+    run("decompose-eta2-null", "decompose", "--a", "a-d3.json", "--witness", "w-eta2-null.json")
+    tampered("w-standard.json", "w-n-list.json", ["elements", 0, "n"], [2])
+    run("check-n-not-a-number", "witness-check", "w-n-list.json")
+    tampered("w-standard.json", "w-huge-coefficient.json", ["elements", 0, "terms", 0],
+             {"mu": "1", "nu": "", "re": 1.5e308, "im": 1.5e308})
+    run("check-coefficient-modulus-overflows", "witness-check", "w-huge-coefficient.json")
+    unlabelled = load("w-standard-d3.json")
+    for element in unlabelled["elements"]:
+        del element["labels"]
+    unlabelled["degree"] = "1"
+    write("w-unlabelled-bad-degree.json", unlabelled)
+    run("check-unlabelled-bad-degree", "witness-check", "w-unlabelled-bad-degree.json")
+    write("list.json", [load("w-standard.json")])
+    run("check-file-a-list", "witness-check", "list.json")
+    run("verify-file-a-list", "verify", "--report", "list.json")
+    tampered("d-neumann.json", "d-pairs-int.json", ["pairs"], 5)
+    run("verify-pairs-not-a-list", "verify", "--report", "d-pairs-int.json")
+    tampered("d-neumann.json", "d-pair-int.json", ["pairs", 0], 5)
+    run("verify-pair-not-an-object", "verify", "--report", "d-pair-int.json")
+    tampered("d-neumann.json", "d-pair-x-int.json", ["pairs", 0, "x"], 5)
+    run("verify-pair-element-not-an-object", "verify", "--report", "d-pair-x-int.json")
+    tampered("a-d3.json", "a-dim-list.json", ["dim"], [15])
+    run("decompose-dim-not-a-number", "decompose", "--a", "a-dim-list.json",
+        "--witness", "w-standard-d3.json")
+    tampered("a-d3.json", "a-labels-int.json", ["labels"], 5)
+    run("decompose-labels-not-a-list", "decompose", "--a", "a-labels-int.json",
+        "--witness", "w-standard-d3.json")
+    tampered("a-d3.json", "a-label-int.json", ["labels", 1], 1)
+    run("decompose-label-not-a-string", "decompose", "--a", "a-label-int.json",
+        "--witness", "w-standard-d3.json")
+    write("family-generators-int.json", {"generators": 5})
+    run("dist-generators-not-a-list", "dist", "--family", "family-generators-int.json")
 
     # distance from 1 to a commutator span
     write("family.json", {"generators": [load("eval-d3.json"), load("a-d3.json")]})
