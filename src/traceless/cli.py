@@ -128,7 +128,8 @@ def _rechecked(witness):
     eta2 disagrees with its own elements is refused, not trusted.
     """
     checked = check_witness(witness.elements, degree=witness.degree)
-    if abs(checked.report.eta2 - witness.report.eta2) > _STALE_ETA2_TOL:
+    # "not <=" so that a NaN eta2 is stale too
+    if not abs(checked.report.eta2 - witness.report.eta2) <= _STALE_ETA2_TOL:
         raise StaleReport(
             f"witness file has eta2 = {witness.report.eta2!r}, "
             f"its elements give {checked.report.eta2!r}"

@@ -60,8 +60,8 @@ def backend_of(element) -> str:
 
 @dataclass(frozen=True)
 class WitnessFamily:
-    """``interior_mask`` is ``cuntz.interior_for_degree`` of the first
-    element's basis labels and ``degree``, derived once, here."""
+    """``interior_mask`` is derived when the family is made: the
+    ``cuntz.interior_for_degree`` of its basis labels and ``degree``."""
 
     elements: tuple
     report: WitnessReport

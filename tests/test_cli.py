@@ -135,11 +135,12 @@ def test_decompose_rejects_tampered_eta2(tmp_path, capsys):
     assert code == 0
     assert envelope["result"]["decomposition"]["residual_interior_norm"] <= 1e-8
     witness = json.loads(wfile.read_text())
-    witness["report"]["eta2"] = 0.05
-    wfile.write_text(dumps(witness))
-    code, envelope, _ = run_cli(capsys, *argv)
-    assert code == 2
-    assert envelope["error"]["code"] == "stale-report"
+    for tampered in (0.05, float("nan")):
+        witness["report"]["eta2"] = tampered
+        wfile.write_text(json.dumps(witness))
+        code, envelope, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert envelope["error"]["code"] == "stale-report"
 
 
 def test_eval_normal_form_and_composition(capsys):

@@ -133,6 +133,17 @@ def test_consumers_reject_a_mask_of_another_size(standard_case):
                 _reject(consumer, witness, a, result, mask)
 
 
+def test_interior_residual_norm_is_the_norm_of_the_kept_block(standard_case):
+    witness, _, _ = standard_case
+    a = random_operator(np.random.default_rng(75), 15, witness.elements[0].basis_labels)
+    p = np.diag(witness.interior_mask.astype(float))
+    # with no pairs the residual is a itself, nonzero on every row and column
+    report = verify_decomposition(a, (), interior_mask=witness.interior_mask)
+    assert report.residual_interior_norm == pytest.approx(
+        np.linalg.norm(p @ a.entries @ p, 2), rel=1e-12
+    )
+
+
 def test_eta1_interior_is_the_defect_on_the_kept_columns():
     rng = np.random.default_rng(74)
     trunc = fock_truncation(2, 3)

@@ -145,6 +145,9 @@ def build(corpus: Corpus) -> None:
     stale["report"]["eta2"] = 0.05
     write("w-stale.json", stale)
     run("decompose-stale-report", "decompose", "--a", "a-d3.json", "--witness", "w-stale.json")
+    stale["report"]["eta2"] = float("nan")
+    write("w-stale-nan.json", stale)
+    run("decompose-stale-nan", "decompose", "--a", "a-d3.json", "--witness", "w-stale-nan.json")
     a_nan = load("a-d3.json")
     a_nan["entries"][2][5][1] = float("nan")
     write("a-nan.json", a_nan)
