@@ -40,7 +40,6 @@ from .tracedist import commutator_distance
 from .witness import (
     build_witness,
     check_witness,
-    check_witness_symbolic,
     evaluate_witness,
     standard_isometry_witness,
     toeplitz_candidate_family,
@@ -101,10 +100,7 @@ def _cmd_witness_gen(args):
 
 def _cmd_witness_check(args):
     witness = witness_from_json(_load_json(args.witness))
-    if witness.backend == "symbolic":
-        checked = check_witness_symbolic(witness.elements, tol=args.tol, depth=args.depth)
-    else:
-        checked = check_witness(witness.elements, tol=args.tol, degree=witness.degree)
+    checked = check_witness(witness.elements, tol=args.tol, degree=witness.degree)
     report = witness_to_json(checked)["report"]
     result = {"backend": checked.backend, "n": checked.n, "report": report}
     return (0 if checked.report.valid else 2), result, result
@@ -115,8 +111,7 @@ def _cmd_witness_build(args):
         candidates = toeplitz_candidate_family(args.toeplitz)
     else:
         candidates = elements_from_json(_load_json(args.candidates))
-    built = build_witness(candidates, tol=args.tol)
-    witness = check_witness_symbolic(built.elements, tol=args.tol, depth=args.depth)
+    witness = build_witness(candidates, tol=args.tol)
     artifact = witness_to_json(witness)
     return (0 if witness.report.valid else 2), {"witness": artifact}, artifact
 
@@ -221,13 +216,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness-check", help="recompute and validate a witness report")
     p.add_argument("witness", help="witness JSON file")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--depth", type=int, default=4, help="evaluation depth for symbolic eta2")
     p.set_defaults(func=_cmd_witness_check)
 
     p = sub.add_parser("witness-build", help="construct a witness from candidates")
     p.add_argument("--candidates", default=None, help="candidates JSON file")
     p.add_argument("--toeplitz", type=int, default=None, help="use the built-in J-family")
-    p.add_argument("--depth", type=int, default=4, help="evaluation depth for symbolic eta2")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_witness_build)

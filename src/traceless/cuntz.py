@@ -102,7 +102,9 @@ def _check_word(word: Word, n: int) -> Word:
 
 
 class StarPolynomial:
-    """Normal-form element: finite map (mu, nu) -> coefficient for s_mu s_nu*."""
+    """Normal-form element: finite map (mu, nu) -> coefficient for s_mu s_nu*.
+
+    Raises ValueError for a coefficient whose modulus is not a finite float."""
 
     __slots__ = ("n", "_terms")
 
@@ -115,7 +117,17 @@ class StarPolynomial:
         for (mu, nu), coef in items:
             key = (_check_word(mu, self.n), _check_word(nu, self.n))
             merged[key] = merged.get(key, 0j) + complex(coef)
-        self._terms = {k: c for k, c in merged.items() if abs(c) > PRUNE_TOL}
+        kept = {}
+        for key, coef in merged.items():
+            try:
+                modulus = abs(coef)
+            except OverflowError:
+                modulus = math.inf
+            if not modulus <= PRUNE_TOL:  # a NaN modulus lands here too
+                if not modulus < math.inf:
+                    raise ValueError(f"coefficient {coef!r} of term {key} has no finite modulus")
+                kept[key] = coef
+        self._terms = kept
 
     @property
     def terms(self) -> dict[tuple[Word, Word], complex]:
@@ -266,13 +278,6 @@ def star_sums(family) -> tuple:
     sum_star = functools.reduce(operator.add, (b.adjoint() @ b for b in family))
     sum_range = functools.reduce(operator.add, (b @ b.adjoint() for b in family))
     return sum_star, sum_range
-
-
-def coefficient_norm(p: StarPolynomial) -> float:
-    """Largest coefficient modulus of the normal form (0 for the zero element)."""
-    if not p._terms:
-        return 0.0
-    return max(abs(c) for c in p._terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +497,8 @@ def _format_coefficient(coef: complex) -> tuple[str, str]:
 
 
 def poly_to_string(p: StarPolynomial) -> str:
-    """Canonical textual form; parsing it back reproduces the polynomial."""
+    """Canonical textual form; parsing it back gives each coefficient to
+    within 2 * PRUNE_TOL (the printer rounds near-real and near-unit ones)."""
     if p.is_zero:
         return "0"
     pieces = []

@@ -232,7 +232,7 @@ def _residual(a, pairs, interior_mask: np.ndarray | None) -> tuple[object, Verif
         for pair in pairs:
             total = total + cuntz.commutator(pair.x, pair.y)
         residual = a - total
-        norm = cuntz.coefficient_norm(residual)
+        norm = cuntz.symbolic_norm(residual).value
         return residual, VerificationReport(norm, norm, None)
     if not isinstance(a, Operator):
         raise TypeError("expected an Operator or StarPolynomial")

@@ -11,6 +11,11 @@ symbolic isometry algebra or as matrices on a truncated Fock space; in the
 matrix picture eta1 always carries a boundary defect, which is why checks
 also report eta1 on the interior that a family's degree determines.
 
+``check_witness`` serves both element types; ``_one`` and ``_norm`` are
+their only seam.  A symbolic norm is ``cuntz.symbolic_norm``: exact when
+the element is diagonal in the word basis, else an upper bound, never the
+lower bound that a Fock truncation gives.
+
 ``build_witness`` runs the constructive route from candidate elements
 a_1..a_m with t0 = ||1 - sum(a_i* a_i - a_i a_i*)|| < 1: append
 a_{m+1} = (k - sum a_i* a_i)^(1/2) for k = ||sum a_i* a_i|| and rescale by
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cuntz
-from .cuntz import StarPolynomial, fock_truncation, interior_for_degree, star_sums
+from .cuntz import NormEstimate, StarPolynomial, fock_truncation, interior_for_degree, star_sums
 from .errors import DimensionMismatch, EmptyFamily, GeneratorMismatch, TraceObstruction
 from .linalg import Operator, identity, op_norm
 
@@ -110,72 +115,65 @@ def _family(elements, symbolic: bool | None = None) -> tuple:
     return family
 
 
-def _require_witness_size(family: tuple):
-    if len(family) < 2:
-        raise EmptyFamily("a witness family needs at least 2 elements")
+def _one(x):
+    """The unit of the algebra x lives in."""
+    if isinstance(x, StarPolynomial):
+        return cuntz.unit(x.n)
+    return identity(x.dim)
 
 
-def _is_valid(eta1: float, eta2: float, tol: float) -> bool:
-    # eta2 must sit strictly below 1; the tol guard band keeps rounding at
-    # the critical boundary (e.g. an exactly-critical family with eta2 = 1)
-    # from flipping the verdict
-    return eta1 <= tol and eta2 < 1.0 - tol
+def _norm(x) -> NormEstimate:
+    """``op_norm`` of a matrix; ``cuntz.symbolic_norm`` of a symbolic element."""
+    if isinstance(x, StarPolynomial):
+        return cuntz.symbolic_norm(x)
+    return NormEstimate(op_norm(x), True)
 
 
 def check_witness(family, tol: float = 1e-10, degree: int | None = None) -> WitnessFamily:
-    """Validate a matrix family against the witness conditions.
+    """Validate a symbolic or a matrix family against the witness conditions.
 
-    With a ``degree`` and Fock-labelled elements, additionally reports
+    eta1 and eta2 come from ``_norm``, so ``valid`` never rests on a lower
+    bound.  A symbolic family's degree is the largest degree of its elements.
+    With a ``degree`` and Fock-labelled matrices the report also has
     eta1_interior = ||(sum b_i* b_i - 1) p||, p the projection onto the
     interior, the defect away from the truncation boundary.  Validity
     always uses the unmasked eta1.
     """
-    family = _family(family, symbolic=False)
-    _require_witness_size(family)
+    family = _family(family)
+    if len(family) < 2:
+        raise EmptyFamily("a witness family needs at least 2 elements")
     sum_star, sum_range = star_sums(family)
-    defect = sum_star - identity(family[0].dim)
-    eta1 = op_norm(defect)
-    eta2 = op_norm(sum_range)
-    mask = interior_for_degree(family[0].basis_labels, degree)
+    defect = sum_star - _one(sum_star)
+    eta1 = _norm(defect).value
+    eta2 = _norm(sum_range).value
+    # eta2 must sit strictly below 1; the tol guard band keeps rounding at
+    # the critical boundary (e.g. an exactly-critical family with eta2 = 1)
+    # from flipping the verdict
+    valid = eta1 <= tol and eta2 < 1.0 - tol
+    if isinstance(defect, StarPolynomial):
+        degree, mask = max(b.degree for b in family), None
+    else:
+        mask = interior_for_degree(family[0].basis_labels, degree)
     eta1_interior = None if mask is None else op_norm(defect.entries[:, mask])
-    report = WitnessReport(eta1, eta2, _is_valid(eta1, eta2, tol), eta1_interior)
+    report = WitnessReport(eta1, eta2, valid, eta1_interior)
     return WitnessFamily(family, report, degree=degree)
 
 
-def _symbolic_witness(family, tol: float, range_norm) -> WitnessFamily:
-    """A symbolic family with its report; eta2 = range_norm(sum b_i b_i*)."""
-    family = _family(family, symbolic=True)
-    _require_witness_size(family)
-    sum_star, sum_range = star_sums(family)
-    eta1 = cuntz.coefficient_norm(sum_star - cuntz.unit(family[0].n))
-    eta2 = range_norm(sum_range)
-    report = WitnessReport(eta1, eta2, _is_valid(eta1, eta2, tol))
-    return WitnessFamily(family, report, degree=max(b.degree for b in family))
+def check_witness_symbolic(family, tol: float = 1e-10, depth: int | None = None) -> WitnessFamily:
+    """``check_witness`` of a family that must be symbolic (TypeError otherwise).
 
-
-def check_witness_symbolic(family, tol: float = 1e-10, depth: int = 4) -> WitnessFamily:
-    """Validate a symbolic family.
-
-    eta1 comes from the exact normal form (largest coefficient of
-    sum b_i* b_i - 1).  eta2 is the norm of sum b_i b_i* evaluated on the
-    Fock truncation of the given depth: a lower bound that grows with
-    depth, and exact whenever that element is diagonal in the word basis.
+    ``depth`` is accepted but not read: ``bench/workloads.py`` passes it.
     """
-    return _symbolic_witness(
-        family, tol, lambda s: op_norm(cuntz.evaluate(s, fock_truncation(s.n, depth)))
-    )
+    return check_witness(_family(family, symbolic=True), tol)
 
 
 def _stats_and_sum_star(elements) -> tuple[CandidateFamily, object]:
     """``candidate_stats`` together with the sum a_i* a_i it is computed from."""
     family = _family(elements)
     sum_star, sum_range = star_sums(family)
-    if isinstance(sum_star, StarPolynomial):
-        diff = cuntz.unit(sum_star.n) - (sum_star - sum_range)
-        t0, k = cuntz.symbolic_norm(diff), cuntz.symbolic_norm(sum_star)
-        return CandidateFamily(family, t0.value, k.value, t0.exact and k.exact), sum_star
-    diff = identity(sum_star.dim) - (sum_star - sum_range)
-    return CandidateFamily(family, op_norm(diff), op_norm(sum_star), True), sum_star
+    t0 = _norm(_one(sum_star) - (sum_star - sum_range))
+    k = _norm(sum_star)
+    return CandidateFamily(family, t0.value, k.value, t0.exact and k.exact), sum_star
 
 
 def candidate_stats(elements) -> CandidateFamily:
@@ -199,9 +197,9 @@ def build_witness(candidates, tol: float = 1e-10) -> WitnessFamily:
     if stats.k <= tol:
         raise EmptyFamily("candidate family is numerically zero")
     scale = 1.0 / math.sqrt(stats.k)
-    extra = cuntz.diagonal_sqrt(stats.k * cuntz.unit(sum_star.n) - sum_star, tol=max(tol, 1e-12))
+    extra = cuntz.diagonal_sqrt(stats.k * _one(sum_star) - sum_star, tol=max(tol, 1e-12))
     elements = [scale * b for b in (*stats.elements, extra)]
-    return _symbolic_witness(elements, tol, lambda s: cuntz.symbolic_norm(s).value)
+    return check_witness(elements, tol)
 
 
 def standard_isometry_witness(n: int, depth: int | None = None) -> WitnessFamily:

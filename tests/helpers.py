@@ -93,3 +93,10 @@ def random_poly(rng, n: int = 2, max_degree: int = 3, max_terms: int = 8) -> Sta
         coef = complex(rng.standard_normal(), rng.standard_normal())
         terms[(mu, nu)] = terms.get((mu, nu), 0j) + coef
     return StarPolynomial(n, terms)
+
+
+def coefficient_norm(p: StarPolynomial) -> float:
+    """Largest coefficient modulus of the normal form (0 for the zero element)."""
+    if not p._terms:
+        return 0.0
+    return max(abs(c) for c in p._terms.values())

@@ -28,7 +28,7 @@ from traceless.tracedist import commutator_distance, commutator_span_family
 from traceless.witness import (
     build_witness,
     candidate_stats,
-    check_witness_symbolic,
+    check_witness,
     evaluate_witness,
     standard_isometry_witness,
     toeplitz_candidate_family,
@@ -165,7 +165,7 @@ def test_criterion_6_constructive_pipeline():
     for J in (2, 3, 4, 5):
         stats = candidate_stats(toeplitz_candidate_family(J))
         witness = build_witness(toeplitz_candidate_family(J))
-        checked = check_witness_symbolic(witness.elements, depth=4)
+        checked = check_witness(witness.elements)
         bound = (stats.k - 1 + stats.t0) / stats.k
         ok = ok and abs(stats.t0 - 1.0 / J) <= 1e-10
         ok = ok and abs(stats.k - 3.0) <= 1e-10
@@ -178,7 +178,7 @@ def test_criterion_6_constructive_pipeline():
         assert checked.report.eta2 <= bound + 1e-9
         assert checked.report.valid
     stats2 = candidate_stats(toeplitz_candidate_family(2))
-    checked2 = check_witness_symbolic(build_witness(toeplitz_candidate_family(2)).elements, depth=4)
+    checked2 = check_witness(build_witness(toeplitz_candidate_family(2)).elements)
     assert abs(checked2.report.eta2 - 2.0 / 3.0) <= 1e-9
     assert (stats2.k - 1 + stats2.t0) / stats2.k == pytest.approx(5.0 / 6.0, abs=1e-9)
     record_criterion(6, ok, "; ".join(details))

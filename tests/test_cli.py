@@ -57,8 +57,6 @@ def test_witness_build_from_candidates_file(tmp_path, capsys):
         "witness-build",
         "--candidates",
         str(cfile),
-        "--depth",
-        "4",
         "--out",
         str(wfile),
     )
@@ -67,6 +65,27 @@ def test_witness_build_from_candidates_file(tmp_path, capsys):
         2.0 / 3.0, abs=1e-12
     )
     assert envelope["result"]["witness"]["report"]["valid"] is True
+
+
+def test_symbolic_witness_check_takes_eta2_from_an_upper_bound(tmp_path, capsys):
+    # sum b b* of b1 = b2 = s1^5 / sqrt(2) is the projection s1^5 s1^5*, of
+    # norm 1; a Fock truncation of depth <= 4 gives it norm 0
+    b = poly_to_json(parse_star_poly("s1 s1 s1 s1 s1", 2) * 0.5**0.5)
+    wfile = tmp_path / "w.json"
+    wfile.write_text(
+        dumps(
+            {
+                "backend": "symbolic",
+                "elements": [b, b],
+                "report": {"eta1": 0.0, "eta2": 0.0, "valid": True},
+            }
+        )
+    )
+    code, envelope, _ = run_cli(capsys, "witness-check", str(wfile))
+    assert code == 2
+    report = envelope["result"]["report"]
+    assert report["eta2"] >= 1.0 - 1e-12
+    assert report["valid"] is False
 
 
 def test_witness_build_matrix_candidates_exit_2(tmp_path, capsys):

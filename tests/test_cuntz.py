@@ -140,6 +140,28 @@ def test_equals_below_tolerance():
     assert equals(p, q, 1e-12)
 
 
+def test_coefficient_whose_modulus_overflows_is_refused():
+    with pytest.raises(ValueError, match="no finite modulus"):
+        StarPolynomial(2, {((1,), ()): complex(1.5e308, 1.5e308)})
+    # a sum of two finite coefficients can overflow too
+    with pytest.raises(ValueError, match="no finite modulus"):
+        StarPolynomial(2, [(((1,), ()), 1e308), (((1,), ()), 1e308)])
+
+
+def test_nan_coefficient_is_refused_not_pruned():
+    for coef in (complex("nan"), complex(1.0, float("nan"))):
+        with pytest.raises(ValueError, match="no finite modulus"):
+            StarPolynomial(2, {((1,), ()): coef})
+
+
+def test_infinite_coefficient_is_refused():
+    for coef in (complex("inf"), complex(0.0, -float("inf"))):
+        with pytest.raises(ValueError, match="no finite modulus"):
+            StarPolynomial(2, {((1,), ()): coef})
+    with pytest.raises(ValueError):
+        1e308 * StarPolynomial(2, {((1,), ()): 1e10})
+
+
 def test_generator_mismatch():
     with pytest.raises(GeneratorMismatch):
         multiply(gen(2, 1), gen(3, 1))

@@ -19,8 +19,9 @@ from traceless import (
     parse_star_poly,
     poly_to_string,
 )
-from traceless.cuntz import PRUNE_TOL, coefficient_norm, commutator, equals, interior_for_degree
+from traceless.cuntz import PRUNE_TOL, commutator, equals, interior_for_degree, symbolic_norm
 from traceless.decompose import apply_phi
+from traceless.linalg import op_norm
 from traceless.witness import (
     build_witness,
     evaluate_witness,
@@ -28,8 +29,10 @@ from traceless.witness import (
     toeplitz_candidate_family,
 )
 
+from helpers import coefficient_norm
+
 # parts up to 1e300, so that the modulus is a float too: StarPolynomial
-# prunes terms by modulus and cannot hold a coefficient whose modulus overflows
+# prunes terms by modulus and refuses a coefficient whose modulus overflows
 FINITE = st.floats(-1e300, 1e300)
 BOUNDED = st.builds(complex, *[st.floats(-1e3, 1e3)] * 2)
 GAUSSIAN = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
@@ -87,6 +90,43 @@ def test_evaluate_is_multiplicative_on_the_interior_columns(case):
     composed = evaluate(p, trunc).entries @ evaluate(q, trunc).entries
     assert keep.any()
     assert np.array_equal(product[:, keep], composed[:, keep])
+
+
+@st.composite
+def _diagonal_polys(draw):
+    """A random combination of word projections s_w s_w*."""
+    n = draw(st.integers(1, 3))
+    words = st.lists(st.integers(1, n), max_size=2).map(tuple)
+    terms = draw(st.lists(st.tuples(words, BOUNDED), max_size=5))
+    return StarPolynomial(n, [((w, w), c) for w, c in terms])
+
+
+# sum b_i b_i* of b_1 = b_2 = s1^5 / sqrt(2): the projection s1^5 s1^5*,
+# which no Fock truncation of depth < 5 sees
+S1_POWER_PROJECTION = StarPolynomial(2, {((1,) * 5, (1,) * 5): 1.0})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_diagonal_polys(), st.integers(0, 2))
+@example(S1_POWER_PROJECTION, 0)
+def test_symbolic_norm_of_a_diagonal_element_is_its_norm_on_a_deep_enough_truncation(p, extra):
+    estimate = symbolic_norm(p)
+    matrix_norm = op_norm(evaluate(p, fock_truncation(p.n, p.degree + extra)))
+    assert estimate.exact
+    assert abs(estimate.value - matrix_norm) <= 1e-12 * max(1.0, matrix_norm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_diagonal_polys(), st.integers(1, 3).flatmap(lambda n: polys(n, BOUNDED))))
+@example(S1_POWER_PROJECTION)
+def test_symbolic_norm_bounds_every_evaluation_from_above(p):
+    """``evaluate`` gives the compression P_L p P_L onto words of length <= L,
+    whose norm is at most ||p||; the symbolic norm is ||p|| or an upper bound."""
+    bound = symbolic_norm(p).value
+    for depth in range(p.degree + 3):
+        matrix_norm = op_norm(evaluate(p, fock_truncation(p.n, depth)))
+        # the slack covers the rounding of a norm that the bound meets exactly
+        assert matrix_norm <= bound + 1e-12 * max(1.0, bound)
 
 
 @functools.cache

@@ -84,21 +84,22 @@ def test_built_toeplitz_witness_evaluated_at_L4():
 
 
 # ---------------------------------------------------------------------------
-# check_witness_symbolic
+# check_witness (symbolic backend) and the check_witness_symbolic shim
 # ---------------------------------------------------------------------------
 
 
 def test_symbolic_standard_witness_check():
     family = [multiply_scalar(gen(2, i), 1.0 / math.sqrt(2.0)) for i in (1, 2)]
-    checked = check_witness_symbolic(family, depth=3)
+    checked = check_witness(family)
     assert checked.report.eta1 <= 1e-15
     assert checked.report.eta2 == pytest.approx(0.5, abs=1e-12)
     assert checked.report.valid
+    assert checked.degree == 1
 
 
 def test_symbolic_scalar_family_invalid():
     half = multiply_scalar(unit(2), 1.0 / math.sqrt(2.0))
-    checked = check_witness_symbolic([half, half])
+    checked = check_witness([half, half])
     assert checked.report.eta1 <= 1e-12
     assert checked.report.eta2 == pytest.approx(1.0, abs=1e-12)
     assert not checked.report.valid
@@ -106,11 +107,35 @@ def test_symbolic_scalar_family_invalid():
 
 def test_symbolic_toeplitz_witness_check():
     witness = build_witness(toeplitz_candidate_family(2))
-    for depth in (4, 5):
-        checked = check_witness_symbolic(witness.elements, depth=depth)
+    checked = check_witness(witness.elements)
+    assert checked.report.eta1 <= 1e-12
+    assert checked.report.eta2 == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert checked.report.valid
+    assert checked.report == witness.report
+
+
+def _s1_power_family():
+    # sum b b* = s1^5 s1^5*, a projection of norm 1 that no word of length
+    # <= 4 sees, while sum b* b = 1
+    b = multiply_scalar(word_isometry(2, (1,) * 5), 1.0 / math.sqrt(2.0))
+    return [b, b]
+
+
+def test_symbolic_eta2_is_an_upper_bound_not_a_truncation():
+    for checked in (
+        check_witness(_s1_power_family()),
+        check_witness_symbolic(_s1_power_family()),
+        check_witness_symbolic(_s1_power_family(), depth=4),
+    ):
         assert checked.report.eta1 <= 1e-12
-        assert checked.report.eta2 == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert checked.report.valid
+        assert checked.report.eta2 >= 1.0 - 1e-12
+        assert not checked.report.valid
+
+
+def test_check_witness_symbolic_refuses_a_matrix_family():
+    family = [Operator(m / math.sqrt(2.0)) for m in brute_isometries(2, 2)]
+    with pytest.raises(TypeError):
+        check_witness_symbolic(family)
 
 
 # ---------------------------------------------------------------------------

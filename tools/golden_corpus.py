@@ -108,7 +108,7 @@ def build(corpus: Corpus) -> None:
     run("check-toeplitz", "witness-check", "w-toeplitz.json")
     run("check-toeplitz-d4", "witness-check", "w-toeplitz-d4.json")
     run("check-missing-file", "witness-check", "missing.json")
-    run("build-candidates", "witness-build", "--candidates", "cands-j2.json", "--depth", "4",
+    run("build-candidates", "witness-build", "--candidates", "cands-j2.json",
         "--out", "w-built-j2.json")
     run("build-toeplitz-3", "witness-build", "--toeplitz", "3", "--out", "w-built-j3.json")
     write("cands-matrix.json",
