@@ -10,8 +10,10 @@ wire format, not the library, to n <= 9).
 Witnesses: {"backend": "matrix"|"symbolic", "n": count, "elements": [...],
 "report": {"eta1": ..., "eta2": ..., "valid": ...}} plus the optional keys
 "degree", from which the interior of a Fock-labelled matrix witness is
-derived again on load, and "eta1_interior".  Candidates:
-{"backend": ..., "elements": [...]}.  Each element must match "backend".
+derived again on load, and "eta1_interior".  A file's "report" is a claim:
+loading always recomputes the report from the elements.  Candidates:
+{"backend": ..., "elements": [...]}.  Each element must match "backend",
+and so must each element of a decomposition report.
 
 All writers emit keys in a fixed order and floats in shortest round-trip
 form, so identical objects serialize byte-identically.  ``dumps`` writes
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import asdict
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -35,8 +38,8 @@ import numpy as np
 
 from .cuntz import StarPolynomial, word_from_string, word_to_string
 from .linalg import Operator
-from .witness import WitnessFamily, WitnessReport, backend_of
-from .decompose import CommutatorPair, DecompositionResult, SolverInfo, VerificationReport
+from .witness import WitnessFamily, backend_of
+from .decompose import CommutatorPair, DecompositionResult, VerificationReport
 from .tracedist import CommutatorSpanFamily, DistanceEstimate, commutator_span_family
 
 __all__ = [
@@ -274,23 +277,25 @@ def element_from_json(data: dict):
     return matrix_from_json(data)
 
 
-def _report_to_json(report: WitnessReport) -> dict:
-    out = {"eta1": report.eta1, "eta2": report.eta2, "valid": report.valid}
-    if report.eta1_interior is not None:
-        out["eta1_interior"] = report.eta1_interior
-    return out
-
-
 def witness_to_json(witness: WitnessFamily) -> dict:
     out = {
         "backend": witness.backend,
         "n": witness.n,
         "elements": [element_to_json(b) for b in witness.elements],
-        "report": _report_to_json(witness.report),
+        # eta1, eta2, valid and, if it was computed, eta1_interior
+        "report": {key: v for key, v in asdict(witness.report).items() if v is not None},
     }
     if witness.degree is not None:
         out["degree"] = witness.degree
     return out
+
+
+def _element_of(backend: str, data, what: str):
+    """``element_from_json`` of ``data``, refused unless of the ``backend`` kind."""
+    element = element_from_json(data)
+    if backend_of(element) != backend:
+        raise ValueError(f"{what} is not a {backend} element")
+    return element
 
 
 def elements_from_json(data: dict) -> tuple:
@@ -305,32 +310,30 @@ def elements_from_json(data: dict) -> tuple:
     for i, element_data in enumerate(elements_data):
         if not isinstance(element_data, dict):
             raise ValueError(f"element {i} is not an object")
-        element = element_from_json(element_data)
-        if backend_of(element) != backend:
-            raise ValueError(f"element {i} is not a {backend} element")
-        elements.append(element)
+        elements.append(_element_of(backend, element_data, f"element {i}"))
     return tuple(elements)
 
 
-def witness_from_json(data: dict) -> WitnessFamily:
-    elements = elements_from_json(data)
-    if not elements:
-        raise ValueError("witness JSON has no elements")
+def _claimed_eta2(data: dict) -> float:
+    """The eta2 a witness file's "report" claims (0.0 if absent); ValueError for
+    a "report" that is not an object or an "eta1" or "eta2" not a number."""
     report_data = data.get("report", {})
     if not isinstance(report_data, dict):
         raise ValueError("witness 'report' is not an object")
     eta1, eta2 = (report_data.get(key, 0.0) for key in ("eta1", "eta2"))
     if not (_is_number(eta1) and _is_number(eta2)):
         raise ValueError("witness report 'eta1' and 'eta2' must be numbers")
-    report = WitnessReport(
-        float(eta1),
-        float(eta2),
-        bool(report_data.get("valid", False)),
-        report_data.get("eta1_interior"),
-    )
-    if isinstance(elements[0], StarPolynomial):
-        return WitnessFamily(elements, report, degree=max(b.degree for b in elements))
-    return WitnessFamily(elements, report, degree=data.get("degree"))
+    return float(eta2)
+
+
+def witness_from_json(data: dict, tol: float = 1e-10) -> WitnessFamily:
+    """The family of a witness file's elements, with the report they give;
+    the file's "report" is only validated (``_claimed_eta2``), never read."""
+    elements = elements_from_json(data)
+    if not elements:
+        raise ValueError("witness JSON has no elements")
+    _claimed_eta2(data)
+    return WitnessFamily(elements, degree=data.get("degree"), tol=tol)
 
 
 def family_from_json(data: dict, dim: int | None = None) -> CommutatorSpanFamily:
@@ -339,14 +342,6 @@ def family_from_json(data: dict, dim: int | None = None) -> CommutatorSpanFamily
         raise ValueError("span 'generators' is not a list")
     generators = [matrix_from_json(g) for g in generators_data]
     return commutator_span_family(generators, dim=dim)
-
-
-def _solver_to_json(info: SolverInfo) -> dict:
-    return {
-        "method": info.method,
-        "iterations": info.iterations,
-        "tail_bound": info.tail_bound,
-    }
 
 
 def decomposition_to_json(result: DecompositionResult, a=None) -> dict:
@@ -364,7 +359,7 @@ def decomposition_to_json(result: DecompositionResult, a=None) -> dict:
             for pair in result.pairs
         ],
         **verification_to_json(result),
-        "solver": _solver_to_json(result.solver),
+        "solver": asdict(result.solver),
     }
     if a is not None:
         out["a"] = element_to_json(a)
@@ -372,7 +367,11 @@ def decomposition_to_json(result: DecompositionResult, a=None) -> dict:
 
 
 def decomposition_from_json(data: dict) -> tuple[object | None, list[CommutatorPair], dict]:
-    """Return (a, pairs, raw) from a decomposition report."""
+    """Return (a, pairs, raw) from a decomposition report; raises ValueError
+    for a pair element or an embedded "a" that is not of the "backend" kind."""
+    backend = data.get("backend")
+    if backend not in ("matrix", "symbolic"):
+        raise ValueError(f"unknown report backend {backend!r}")
     pairs_data = data.get("pairs", [])
     if not isinstance(pairs_data, list):
         raise ValueError("report 'pairs' is not a list")
@@ -380,9 +379,9 @@ def decomposition_from_json(data: dict) -> tuple[object | None, list[CommutatorP
     for i, p in enumerate(pairs_data):
         if not isinstance(p, dict):
             raise ValueError(f"report pair {i} is not an object")
-        x, y = element_from_json(p["x"]), element_from_json(p["y"])
+        x, y = (_element_of(backend, p[key], f"report pair {i} {key!r}") for key in ("x", "y"))
         pairs.append(CommutatorPair(x, y, bool(p.get("self_adjoint", False))))
-    a = element_from_json(data["a"]) if "a" in data else None
+    a = _element_of(backend, data["a"], "report 'a'") if "a" in data else None
     return a, pairs, data
 
 

@@ -11,10 +11,13 @@ symbolic isometry algebra or as matrices on a truncated Fock space; in the
 matrix picture eta1 always carries a boundary defect, which is why checks
 also report eta1 on the interior that a family's degree determines.
 
-``check_witness`` serves both element types; ``_one`` and ``_norm`` are
-their only seam.  A symbolic norm is ``cuntz.symbolic_norm``: exact when
-the element is diagonal in the word basis, else an upper bound, never the
-lower bound that a Fock truncation gives.
+A ``WitnessFamily`` computes its report from its elements when it is made
+and takes no report argument, so a report read from a file is at most a
+claim to compare against.  ``check_witness`` is that one constructor, for
+both element types; ``_one`` and ``_norm`` are their only seam.  A symbolic
+norm is ``cuntz.symbolic_norm``: exact when the element is diagonal in the
+word basis, else an upper bound, never the lower bound that a Fock
+truncation gives.
 
 ``build_witness`` runs the constructive route from candidate elements
 a_1..a_m with t0 = ||1 - sum(a_i* a_i - a_i a_i*)|| < 1: append
@@ -27,7 +30,7 @@ an explicit symbolic family that reaches t0 = 1/J for any J >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -65,17 +68,42 @@ def backend_of(element) -> str:
 
 @dataclass(frozen=True)
 class WitnessFamily:
-    """``interior_mask`` is derived when the family is made: the
-    ``cuntz.interior_for_degree`` of its basis labels and ``degree``."""
+    """A family whose ``report`` and ``interior_mask`` are derived from its
+    elements when it is made; neither is a constructor argument.
+
+    A symbolic family's ``degree`` is the largest of its elements'.  A
+    matrix family's, with Fock labels, gives ``cuntz.interior_for_degree``
+    and eta1_interior = ||(sum b_i* b_i - 1) p||, p the projection onto the
+    interior.  eta1 and eta2 come from ``_norm``, so ``valid`` (eta1 <= tol,
+    eta2 < 1 - tol) never rests on a lower bound; it uses the unmasked eta1.
+    """
 
     elements: tuple
-    report: WitnessReport
     degree: int | None = None
+    tol: InitVar[float] = 1e-10
+    report: WitnessReport = field(init=False)
     interior_mask: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        labels = None if self.backend == "symbolic" else self.elements[0].basis_labels
-        object.__setattr__(self, "interior_mask", interior_for_degree(labels, self.degree))
+    def __post_init__(self, tol: float):
+        family = _family(self.elements)
+        if len(family) < 2:
+            raise EmptyFamily("a witness family needs at least 2 elements")
+        symbolic = isinstance(family[0], StarPolynomial)
+        if symbolic:
+            object.__setattr__(self, "degree", max(b.degree for b in family))
+        mask = interior_for_degree(None if symbolic else family[0].basis_labels, self.degree)
+        sum_star, sum_range = star_sums(family)
+        defect = sum_star - _one(sum_star)
+        eta1 = _norm(defect).value
+        eta2 = _norm(sum_range).value
+        # eta2 must sit strictly below 1; the tol guard band keeps rounding at
+        # the critical boundary (e.g. an exactly-critical family with eta2 = 1)
+        # from flipping the verdict
+        valid = eta1 <= tol and eta2 < 1.0 - tol
+        eta1_interior = None if mask is None else op_norm(defect.entries[:, mask])
+        object.__setattr__(self, "elements", family)
+        object.__setattr__(self, "interior_mask", mask)
+        object.__setattr__(self, "report", WitnessReport(eta1, eta2, valid, eta1_interior))
 
     @property
     def n(self) -> int:
@@ -130,33 +158,9 @@ def _norm(x) -> NormEstimate:
 
 
 def check_witness(family, tol: float = 1e-10, degree: int | None = None) -> WitnessFamily:
-    """Validate a symbolic or a matrix family against the witness conditions.
-
-    eta1 and eta2 come from ``_norm``, so ``valid`` never rests on a lower
-    bound.  A symbolic family's degree is the largest degree of its elements.
-    With a ``degree`` and Fock-labelled matrices the report also has
-    eta1_interior = ||(sum b_i* b_i - 1) p||, p the projection onto the
-    interior, the defect away from the truncation boundary.  Validity
-    always uses the unmasked eta1.
-    """
-    family = _family(family)
-    if len(family) < 2:
-        raise EmptyFamily("a witness family needs at least 2 elements")
-    sum_star, sum_range = star_sums(family)
-    defect = sum_star - _one(sum_star)
-    eta1 = _norm(defect).value
-    eta2 = _norm(sum_range).value
-    # eta2 must sit strictly below 1; the tol guard band keeps rounding at
-    # the critical boundary (e.g. an exactly-critical family with eta2 = 1)
-    # from flipping the verdict
-    valid = eta1 <= tol and eta2 < 1.0 - tol
-    if isinstance(defect, StarPolynomial):
-        degree, mask = max(b.degree for b in family), None
-    else:
-        mask = interior_for_degree(family[0].basis_labels, degree)
-    eta1_interior = None if mask is None else op_norm(defect.entries[:, mask])
-    report = WitnessReport(eta1, eta2, valid, eta1_interior)
-    return WitnessFamily(family, report, degree=degree)
+    """Validate a symbolic or a matrix family against the witness conditions:
+    the ``WitnessFamily`` of its elements, whose report they determine."""
+    return WitnessFamily(family, degree=degree, tol=tol)
 
 
 def check_witness_symbolic(family, tol: float = 1e-10, depth: int | None = None) -> WitnessFamily:
@@ -203,21 +207,20 @@ def build_witness(candidates, tol: float = 1e-10) -> WitnessFamily:
 
 
 def standard_isometry_witness(n: int, depth: int | None = None) -> WitnessFamily:
-    """The n-generator witness b_i = s_i / sqrt(n).
+    """The n-generator witness b_i = s_i / sqrt(n), checked like any family.
 
-    Symbolically (depth None) the defining relations give the report
-    directly: eta1 = 0 and eta2 = 1/n.  With a depth, the family is
-    realized on the Fock truncation and checked numerically; eta1 then
-    equals 1 at the boundary while the interior defect vanishes.
+    Symbolically (depth None) the report is eta1 = 0 and eta2 = 1/n up to
+    the rounding of the coefficient 1/sqrt(n).  With a depth, the family is
+    realized on the Fock truncation; eta1 then equals 1 at the boundary
+    while the interior defect vanishes.
     """
     if n < 2:
         raise EmptyFamily("need at least two isometries")
     scale = 1.0 / math.sqrt(n)
     if depth is None:
-        elements = tuple(cuntz.multiply_scalar(cuntz.gen(n, i), scale) for i in range(1, n + 1))
-        report = WitnessReport(eta1=0.0, eta2=1.0 / n, valid=True)
-        return WitnessFamily(elements, report, degree=1)
-    elements = [scale * v for v in cuntz.truncated_isometries(n, depth)]
+        elements = [cuntz.multiply_scalar(cuntz.gen(n, i), scale) for i in range(1, n + 1)]
+    else:
+        elements = [scale * v for v in cuntz.truncated_isometries(n, depth)]
     return check_witness(elements, degree=1)
 
 
@@ -255,4 +258,4 @@ def evaluate_witness(witness: WitnessFamily, depth: int, tol: float = 1e-10) -> 
         raise TypeError("can only evaluate a symbolic witness")
     trunc = fock_truncation(witness.elements[0].n, depth)
     elements = [cuntz.evaluate(b, trunc) for b in witness.elements]
-    return check_witness(elements, tol=tol, degree=max(b.degree for b in witness.elements))
+    return check_witness(elements, tol=tol, degree=witness.degree)

@@ -162,6 +162,52 @@ def test_decompose_rejects_tampered_eta2(tmp_path, capsys):
         assert envelope["error"]["code"] == "stale-report"
 
 
+def test_symbolic_witness_with_a_stale_eta2_is_refused(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    run_cli(capsys, "witness-gen", "--toeplitz", "2", "--out", str(wfile))
+    afile = tmp_path / "a.json"
+    afile.write_text(dumps(matrix_to_json(identity(31, fock_truncation(2, 4).labels))))
+    witness = json.loads(wfile.read_text())
+    witness["report"]["eta2"] = 0.05
+    wfile.write_text(json.dumps(witness))
+    code, envelope, _ = run_cli(
+        capsys, "decompose", "--a", str(afile), "--witness", str(wfile), "--depth", "4"
+    )
+    assert code == 2
+    assert envelope["error"]["code"] == "stale-report"
+
+
+def test_witness_gen_and_witness_check_print_the_same_eta2(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    _, generated, _ = run_cli(capsys, "witness-gen", "--standard", "2", "--out", str(wfile))
+    _, checked, _ = run_cli(capsys, "witness-check", str(wfile))
+    assert generated["result"]["witness"]["report"]["eta2"] == checked["result"]["report"]["eta2"]
+
+
+def test_witness_build_without_a_source_is_an_input_error(capsys):
+    code, envelope, _ = run_cli(capsys, "witness-build")
+    assert code == 1
+    assert envelope["error"]["code"] == "input-error"
+    assert "--candidates" in envelope["error"]["message"]
+    assert "--toeplitz" in envelope["error"]["message"]
+
+
+def test_verify_refuses_an_element_of_the_other_backend(tmp_path, capsys):
+    wfile = _standard_witness_file(tmp_path, capsys)
+    rng = np.random.default_rng(67)
+    afile = _matrix_file(
+        tmp_path, "a.json", matrix_to_json(random_hermitian(rng, 7, fock_truncation(2, 2).labels))
+    )
+    dfile = tmp_path / "d.json"
+    argv = ("decompose", "--a", afile, "--witness", str(wfile), "--out", str(dfile))
+    assert run_cli(capsys, *argv)[0] == 0
+    pfile = _matrix_file(tmp_path, "p.json", poly_to_json(parse_star_poly("s1 + s1*", 2)))
+    code, envelope, _ = run_cli(capsys, "verify", "--report", str(dfile), "--a", pfile)
+    assert code == 1
+    assert envelope["error"]["code"] == "input-error"
+    assert "--a" in envelope["error"]["message"]
+
+
 def test_eval_normal_form_and_composition(capsys):
     code, envelope, _ = run_cli(capsys, "eval", "--expr", "s1* s1", "--n", "2")
     assert code == 0
@@ -345,6 +391,9 @@ MALFORMED = {
     "pairs-not-a-list": (_D2, "r", ["pairs"], 5, _VERIFY),
     "pair-not-an-object": (_D2, "r", ["pairs", 0], 5, _VERIFY),
     "pair-element-not-an-object": (_D2, "r", ["pairs", 0, "x"], 5, _VERIFY),
+    "pair-element-of-the-other-backend": (
+        _D2, "r", ["pairs", 0, "x"], poly_to_json(parse_star_poly("s1", 2)), _VERIFY
+    ),
     "dim-not-a-number": (_D2, "a", ["dim"], [7], _DECOMPOSE),
     "labels-not-a-list": (_D2, "a", ["labels"], 5, _DECOMPOSE),
     "label-not-a-string": (_D2, "a", ["labels", 1], 1, _DECOMPOSE),

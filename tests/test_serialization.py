@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceless import Operator, equals, evaluate_witness, fock_truncation, op_norm, parse_star_poly
-from traceless.decompose import decompose_element
+from traceless.decompose import decompose_element, solve_psi_direct
 from traceless.serialization import (
     decomposition_from_json,
     decomposition_to_json,
@@ -20,7 +20,12 @@ from traceless.serialization import (
     witness_from_json,
     witness_to_json,
 )
-from traceless.witness import build_witness, standard_isometry_witness, toeplitz_candidate_family
+from traceless.witness import (
+    build_witness,
+    check_witness,
+    standard_isometry_witness,
+    toeplitz_candidate_family,
+)
 
 from helpers import random_hermitian, random_operator, random_poly
 
@@ -96,6 +101,20 @@ def test_witness_round_trip_matrix_rebuilds_mask():
     again = witness_from_json(json.loads(dumps(witness_to_json(witness))))
     assert again.interior_mask is not None
     assert np.array_equal(again.interior_mask, witness.interior_mask)
+
+
+def test_a_forged_eta2_in_a_witness_file_is_not_read():
+    # claimed eta2 = 0.05 against 2/3 would stop the Neumann series after a
+    # few terms with a tail bound that the partial sum does not meet
+    witness = evaluate_witness(build_witness(toeplitz_candidate_family(2)), 4)
+    data = json.loads(dumps(witness_to_json(witness)))
+    data["report"]["eta2"] = 0.05
+    loaded = witness_from_json(data)
+    assert loaded.report.eta2 == check_witness(loaded.elements).report.eta2
+    a = random_hermitian(np.random.default_rng(54), 31, witness.elements[0].basis_labels)
+    result = decompose_element(a, loaded, eps=1e-10)
+    direct = solve_psi_direct(a, loaded)
+    assert op_norm(result.psi_a - direct) <= result.solver.tail_bound + 1e-12
 
 
 def test_bad_degree_is_refused_without_labels_too():

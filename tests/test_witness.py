@@ -19,6 +19,7 @@ from traceless import (
 from traceless.cuntz import multiply_scalar, zero_poly
 from traceless.errors import DimensionMismatch, EmptyFamily, SymbolicSqrtUnsupported, TraceObstruction
 from traceless.witness import (
+    WitnessFamily,
     build_witness,
     candidate_stats,
     check_witness,
@@ -258,10 +259,25 @@ def test_build_witness_symbolic_sqrt_unsupported():
 def test_standard_witness_reports():
     w2 = standard_isometry_witness(2)
     assert w2.report.eta1 == 0.0
-    assert w2.report.eta2 == 0.5
+    # computed from float coefficients 1/sqrt(2): 0.5 to within one rounding
+    assert w2.report.eta2 == check_witness(w2.elements).report.eta2
+    assert abs(w2.report.eta2 - 0.5) <= 1e-15
     assert w2.report.valid
     w3 = standard_isometry_witness(3)
     assert w3.report.eta2 == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_standard_witness_report_is_computed_from_its_elements(n):
+    w = standard_isometry_witness(n)
+    assert w.report == check_witness(w.elements).report
+
+
+def test_a_witness_family_takes_no_report():
+    w = standard_isometry_witness(2)
+    with pytest.raises(TypeError):
+        WitnessFamily(w.elements, report=w.report)
+    assert WitnessFamily(w.elements, degree=7) == w
 
 
 def test_standard_witness_depth_one():

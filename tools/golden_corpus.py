@@ -81,6 +81,7 @@ def build(corpus: Corpus) -> None:
     run("eval-syntax-error", "eval", "--expr", "s1 +", "--n", "2")
     run("eval-index-error", "eval", "--expr", "s3", "--n", "2")
     run("eval-negative-imaginary", "eval", "--expr", "(0-2i)*s1", "--n", "2")
+    run("a-poly", "eval", "--expr", A_EXPR, "--n", "2", "--out", "a-poly.json")
     for depth in (3, 4, 5, 6):
         run(f"a-d{depth}", "eval", "--expr", A_EXPR, "--n", "2", "--depth", str(depth),
             "--out", f"a-d{depth}.json")
@@ -114,6 +115,7 @@ def build(corpus: Corpus) -> None:
     write("cands-matrix.json",
           {"backend": "matrix", "elements": [load("eval-d3.json"), load("a-d3.json")]})
     run("build-matrix-candidates", "witness-build", "--candidates", "cands-matrix.json")
+    run("build-no-source", "witness-build")
 
     # decompositions, each verified from its report alone
     reports = {
@@ -145,6 +147,12 @@ def build(corpus: Corpus) -> None:
     stale["report"]["eta2"] = 0.05
     write("w-stale.json", stale)
     run("decompose-stale-report", "decompose", "--a", "a-d3.json", "--witness", "w-stale.json")
+    run("check-stale-report", "witness-check", "w-stale.json")
+    stale_symbolic = load("w-toeplitz.json")
+    stale_symbolic["report"]["eta2"] = 0.05
+    write("w-toeplitz-stale.json", stale_symbolic)
+    run("decompose-stale-symbolic", "decompose", "--a", "a-d4.json",
+        "--witness", "w-toeplitz-stale.json", "--depth", "4")
     stale["report"]["eta2"] = float("nan")
     write("w-stale-nan.json", stale)
     run("decompose-stale-nan", "decompose", "--a", "a-d3.json", "--witness", "w-stale-nan.json")
@@ -195,6 +203,9 @@ def build(corpus: Corpus) -> None:
     run("verify-pair-not-an-object", "verify", "--report", "d-pair-int.json")
     tampered("d-neumann.json", "d-pair-x-int.json", ["pairs", 0, "x"], 5)
     run("verify-pair-element-not-an-object", "verify", "--report", "d-pair-x-int.json")
+    tampered("d-neumann.json", "d-pair-x-poly.json", ["pairs", 0, "x"], load("a-poly.json"))
+    run("verify-mixed-pair", "verify", "--report", "d-pair-x-poly.json")
+    run("verify-symbolic-a", "verify", "--report", "d-neumann.json", "--a", "a-poly.json")
     tampered("a-d3.json", "a-dim-list.json", ["dim"], [15])
     run("decompose-dim-not-a-number", "decompose", "--a", "a-dim-list.json",
         "--witness", "w-standard-d3.json")
