@@ -118,6 +118,12 @@ def _cmd_witness_build(args):
     return (0 if witness.report.valid else 2), {"witness": artifact}, artifact
 
 
+def _interior(a, degree):
+    """The one interior of ``decompose`` and ``verify``: that of a report's "a"
+    labels and "interior_degree", None for a symbolic "a"."""
+    return cuntz.interior_for_degree(a.basis_labels, degree) if isinstance(a, Operator) else None
+
+
 def _cmd_decompose(args):
     a = element_from_json(_load_json(args.a))
     data = _load_json(args.witness)
@@ -125,7 +131,7 @@ def _cmd_decompose(args):
     # the Neumann iteration count and tail bound rest on eta2, so a claim that
     # disagrees with the elements is refused; "not <=" so that NaN is stale too
     claimed = _claimed_eta2(data)
-    if not abs(witness.report.eta2 - claimed) <= _STALE_ETA2_TOL:
+    if claimed is not None and not abs(witness.report.eta2 - claimed) <= _STALE_ETA2_TOL:
         raise StaleReport(
             f"witness file has eta2 = {claimed!r}, its elements give {witness.report.eta2!r}"
         )
@@ -135,11 +141,18 @@ def _cmd_decompose(args):
         witness = evaluate_witness(witness, args.depth)
     if not isinstance(a, Operator):
         raise ValueError("decompose expects the element as a matrix JSON file")
+    # a is read in the witness's basis; another dimension is left to the engine
+    labels = witness.elements[0].basis_labels
+    if labels is not None and a.basis_labels != labels and a.dim == len(labels):
+        if a.basis_labels is not None:
+            raise ValueError("element labels differ from the witness elements' labels")
+        a = Operator(a.entries, labels)
     if args.positive:
         result = decompose_positive(a, witness, eps=args.eps, solver=args.solver)
     else:
         result = decompose_element(a, witness, eps=args.eps, solver=args.solver)
-    artifact = decomposition_to_json(result, a=a)
+    report = verify_decomposition(a, result.pairs, _interior(a, witness.degree))
+    artifact = decomposition_to_json(result, report, a=a)
     if witness.degree is not None:
         artifact["interior_degree"] = witness.degree
     return 0, {"decomposition": artifact}, artifact
@@ -154,10 +167,7 @@ def _cmd_verify(args):
             raise ValueError(f"--a is not a {raw['backend']} element")
     if a is None:
         raise ValueError("report does not embed the element; pass --a")
-    mask = None
-    if isinstance(a, Operator):
-        mask = cuntz.interior_for_degree(a.basis_labels, raw.get("interior_degree"))
-    report = verify_decomposition(a, pairs, interior_mask=mask)
+    report = verify_decomposition(a, pairs, _interior(a, raw.get("interior_degree")))
     result = verification_to_json(report)
     return 0, result, result
 

@@ -12,9 +12,9 @@ commutators.  For positive a the pairs (psi(a)^(1/2) b_i*, b_i psi(a)^(1/2))
 do the same with each contribution self-adjoint.
 
 On a truncated witness the identity cannot hold exactly (matrix algebras
-have a trace), so results report both the full residual and its compression
-to the truncation interior; the leftover is the boundary defect
-(1 - sum b_i* b_i) psi(a) plus the certified series tail.
+have a trace), so ``verify_decomposition`` reports both the full residual
+and its compression to the truncation interior; the leftover is the
+boundary defect (1 - sum b_i* b_i) psi(a) plus the certified series tail.
 
 Cost.  A witness element with at most one nonzero per row (shifts, evaluated
 normal monomials, diagonal elements: every shipped witness) is a weighted
@@ -29,9 +29,11 @@ applies phi once per term and stops after the first term phi^K(a) whose
 certified tail eta2 / (1 - eta2) * min(eta2^K ||a||_F, ||phi^K(a)||_F) is at
 most eps; each Frobenius norm costs O(d^2) and no SVD is taken.  On a
 nilpotent truncation (the standard witness at depth L) it stops at the first
-zero term, K = L + 1, with tail 0.0.  The residual fields of a
-result come from the same code as ``verify_decomposition``, which always
-recomputes densely from the pairs alone, independent of the engine it checks.
+zero term, K = L + 1, with tail 0.0.
+
+Decomposing and verifying are separate steps: a result holds no residual,
+and ``verify_decomposition`` alone forms a - sum_i [x_i, y_i], densely from
+the pairs, sharing no code with the engine it checks.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ class SolverInfo:
 class DecompositionResult:
     pairs: tuple[CommutatorPair, ...]
     psi_a: object
-    residual: object
-    residual_norm: float
-    residual_interior_norm: float
-    trace_defect: float | None
     solver: SolverInfo
 
 
@@ -220,43 +218,6 @@ def _pairs_standard(witness: WitnessFamily, psi) -> tuple[CommutatorPair, ...]:
     return tuple(CommutatorPair(b.adjoint(), _left_multiply(b, psi)) for b in witness.elements)
 
 
-def _residual(a, pairs, interior_mask: np.ndarray | None) -> tuple[object, VerificationReport]:
-    """a - sum_i [x_i, y_i] recomputed from the pairs, with its report.
-
-    The matrix sum accumulates in one array, adding x y and subtracting y x
-    pair by pair in index order.  The interior norm ||p r p|| is taken on
-    the block that the bool vector ``interior_mask`` keeps.
-    """
-    if isinstance(a, StarPolynomial):
-        total = cuntz.zero_poly(a.n)
-        for pair in pairs:
-            total = total + cuntz.commutator(pair.x, pair.y)
-        residual = a - total
-        norm = cuntz.symbolic_norm(residual).value
-        return residual, VerificationReport(norm, norm, None)
-    if not isinstance(a, Operator):
-        raise TypeError("expected an Operator or StarPolynomial")
-    total = np.zeros((a.dim, a.dim), dtype=complex)
-    for pair in pairs:
-        if pair.x.dim != a.dim or pair.y.dim != a.dim:
-            raise DimensionMismatch("pair dimension differs from the target element")
-        total += pair.x.entries @ pair.y.entries
-        total -= pair.y.entries @ pair.x.entries
-    residual = Operator(a.entries - total, a.basis_labels)
-    norm = interior = op_norm(residual)
-    if interior_mask is not None:
-        keep = interior_indices(interior_mask, a.dim)
-        interior = op_norm(residual.entries[np.ix_(keep, keep)])
-    return residual, VerificationReport(norm, interior, float(abs(np.trace(total))))
-
-
-def _finish(a, witness, pairs, psi, solver: SolverInfo) -> DecompositionResult:
-    residual, r = _residual(a, pairs, witness.interior_mask)
-    return DecompositionResult(
-        pairs, psi, residual, r.residual_norm, r.residual_interior_norm, r.trace_defect, solver
-    )
-
-
 def _solve(a, witness, eps, solver):
     if solver == "neumann":
         psi, iterations, tail = solve_psi_neumann(a, witness, eps)
@@ -273,7 +234,7 @@ def decompose_element(
     solver: str = "neumann",
     psi=None,
 ) -> DecompositionResult:
-    """Express a as sum_i [b_i*, b_i psi(a)] with verified residual.
+    """Express a as sum_i [b_i*, b_i psi(a)]; ``verify_decomposition`` checks it.
 
     ``psi`` may be supplied directly (mandatory for a symbolic witness,
     where the Neumann series has no finite normal form); otherwise the
@@ -285,7 +246,7 @@ def decompose_element(
         raise TypeError("symbolic decomposition needs an explicit psi")
     else:
         psi, info = _solve(a, witness, eps, solver)
-    return _finish(a, witness, _pairs_standard(witness, psi), psi, info)
+    return DecompositionResult(_pairs_standard(witness, psi), psi, info)
 
 
 def decompose_positive(
@@ -309,17 +270,41 @@ def decompose_positive(
     for b in witness.elements:
         y = _left_multiply(b, root)
         pairs.append(CommutatorPair(y.adjoint(), y, self_adjoint_form=True))
-    return _finish(a, witness, tuple(pairs), psi, info)
+    return DecompositionResult(tuple(pairs), psi, info)
 
 
 def verify_decomposition(a, pairs, interior_mask: np.ndarray | None = None) -> VerificationReport:
-    """Recompute sum_i [x_i, y_i] from scratch and report the residual.
+    """Recompute a - sum_i [x_i, y_i] from the pairs alone and report its norms.
 
-    For matrices also reports |trace(sum contributions)|: commutators are
-    exactly trace-free, so this measures only rounding.  ``interior_mask``
-    is a bool vector of length a.dim (``WitnessFamily.interior_mask``); the
-    interior norm is that of the residual on the basis vectors it keeps.
-    For symbolic input the residual is an exact normal form and the trace
-    defect is None.
+    The matrix sum accumulates in one array, adding x y and subtracting y x
+    pair by pair in index order.  For matrices also reports |trace(sum
+    contributions)|: commutators are exactly trace-free, so this measures
+    only rounding.  ``interior_mask`` is a bool vector of length a.dim
+    (``WitnessFamily.interior_mask``); the interior norm is that of the
+    residual on the basis vectors it keeps.  For symbolic input the residual
+    is an exact normal form and the trace defect is None.  Elements of mixed
+    types are a TypeError.
     """
-    return _residual(a, pairs, interior_mask)[1]
+    kind = StarPolynomial if isinstance(a, StarPolynomial) else Operator
+    pairs = tuple(pairs)
+    for x in (a, *(e for pair in pairs for e in (pair.x, pair.y))):
+        if not isinstance(x, kind):
+            raise TypeError(f"{type(x).__name__} in a decomposition of {kind.__name__} elements")
+    if kind is StarPolynomial:
+        total = cuntz.zero_poly(a.n)
+        for pair in pairs:
+            total = total + cuntz.commutator(pair.x, pair.y)
+        norm = cuntz.symbolic_norm(a - total).value
+        return VerificationReport(norm, norm, None)
+    total = np.zeros((a.dim, a.dim), dtype=complex)
+    for pair in pairs:
+        if pair.x.dim != a.dim or pair.y.dim != a.dim:
+            raise DimensionMismatch("pair dimension differs from the target element")
+        total += pair.x.entries @ pair.y.entries
+        total -= pair.y.entries @ pair.x.entries
+    residual = a.entries - total
+    norm = interior = op_norm(residual)
+    if interior_mask is not None:
+        keep = interior_indices(interior_mask, a.dim)
+        interior = op_norm(residual[np.ix_(keep, keep)])
+    return VerificationReport(norm, interior, float(abs(np.trace(total))))

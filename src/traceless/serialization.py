@@ -314,16 +314,17 @@ def elements_from_json(data: dict) -> tuple:
     return tuple(elements)
 
 
-def _claimed_eta2(data: dict) -> float:
-    """The eta2 a witness file's "report" claims (0.0 if absent); ValueError for
-    a "report" that is not an object or an "eta1" or "eta2" not a number."""
+def _claimed_eta2(data: dict) -> float | None:
+    """The eta2 a witness file's "report" claims, None if it claims none;
+    ValueError for a "report" that is not an object or an "eta1" or "eta2"
+    present but not a number."""
     report_data = data.get("report", {})
     if not isinstance(report_data, dict):
         raise ValueError("witness 'report' is not an object")
     eta1, eta2 = (report_data.get(key, 0.0) for key in ("eta1", "eta2"))
     if not (_is_number(eta1) and _is_number(eta2)):
         raise ValueError("witness report 'eta1' and 'eta2' must be numbers")
-    return float(eta2)
+    return float(eta2) if "eta2" in report_data else None
 
 
 def witness_from_json(data: dict, tol: float = 1e-10) -> WitnessFamily:
@@ -344,11 +345,12 @@ def family_from_json(data: dict, dim: int | None = None) -> CommutatorSpanFamily
     return commutator_span_family(generators, dim=dim)
 
 
-def decomposition_to_json(result: DecompositionResult, a=None) -> dict:
-    """Decomposition report; embeds the decomposed element so that
-    verification can run from the report alone."""
+def decomposition_to_json(result: DecompositionResult, report: VerificationReport, a=None) -> dict:
+    """Decomposition report with the residual fields of ``report``
+    (``verify_decomposition`` of the result); embeds the decomposed element
+    so that verification can run from the report alone."""
     out = {
-        "backend": backend_of(result.residual),
+        "backend": backend_of(result.psi_a),
         "n": len(result.pairs),
         "pairs": [
             {
@@ -358,7 +360,7 @@ def decomposition_to_json(result: DecompositionResult, a=None) -> dict:
             }
             for pair in result.pairs
         ],
-        **verification_to_json(result),
+        **verification_to_json(report),
         "solver": asdict(result.solver),
     }
     if a is not None:

@@ -100,3 +100,12 @@ def coefficient_norm(p: StarPolynomial) -> float:
     if not p._terms:
         return 0.0
     return max(abs(c) for c in p._terms.values())
+
+
+def commutator_residual(a, pairs):
+    """a - sum_i (x_i y_i - y_i x_i), formed with the elements' own products,
+    for Operators and StarPolynomials alike."""
+    residual = a
+    for pair in pairs:
+        residual = residual - (pair.x @ pair.y - pair.y @ pair.x)
+    return residual

@@ -21,6 +21,7 @@ from traceless import (
     positivity_check,
     solve_psi_direct,
     solve_psi_neumann,
+    verify_decomposition,
 )
 from traceless.cuntz import adjoint, zero_poly
 from traceless.errors import TraceObstruction
@@ -136,8 +137,9 @@ def test_criterion_5_decomposition_residuals():
     for _ in range(20):
         a = random_hermitian(rng, dim, labels)
         result = decompose_element(a, witness, eps=1e-10)
-        worst_interior = max(worst_interior, result.residual_interior_norm)
-        worst_trace = max(worst_trace, result.trace_defect)
+        report = verify_decomposition(a, result.pairs, witness.interior_mask)
+        worst_interior = max(worst_interior, report.residual_interior_norm)
+        worst_trace = max(worst_trace, report.trace_defect)
         g = random_operator(rng, dim, labels)
         psd = g.adjoint() @ g
         positive = decompose_positive(psd, witness, eps=1e-10)
@@ -224,7 +226,8 @@ def test_criterion_8_runtime_budget():
     rng = np.random.default_rng(1008)
     a = random_hermitian(rng, dim, witness.elements[0].basis_labels)
     result = decompose_element(a, witness, eps=1e-10)
-    assert result.residual_interior_norm <= 1e-8
+    report = verify_decomposition(a, result.pairs, witness.interior_mask)
+    assert report.residual_interior_norm <= 1e-8
     elapsed = time.perf_counter() - MODULE_START
     ok = elapsed < 120.0
     record_criterion(8, ok, f"acceptance workload incl. dim-127 decomposition in {elapsed:.1f}s")

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from traceless import fock_truncation, identity, parse_star_poly
+from traceless import Operator, fock_truncation, identity, parse_star_poly
 from traceless.cli import main
 from traceless.serialization import dumps, matrix_to_json, poly_to_json
 from traceless.witness import toeplitz_candidate_family
@@ -206,6 +206,83 @@ def test_verify_refuses_an_element_of_the_other_backend(tmp_path, capsys):
     assert code == 1
     assert envelope["error"]["code"] == "input-error"
     assert "--a" in envelope["error"]["message"]
+
+
+_RESIDUAL_FIELDS = ("residual_norm", "residual_interior_norm", "trace_defect")
+
+
+def _decompose_then_verify(tmp_path, capsys, afile, wfile):
+    """decompose's residual fields and those verify prints for its report."""
+    dfile = tmp_path / "d.json"
+    argv = ("decompose", "--a", str(afile), "--witness", str(wfile), "--out", str(dfile))
+    code, envelope, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = envelope["result"]["decomposition"]
+    code, verdict, _ = run_cli(capsys, "verify", "--report", str(dfile))
+    assert code == 0
+    return report, verdict["result"]
+
+
+def test_element_labels_other_than_the_witness_labels_are_an_input_error(tmp_path, capsys):
+    wfile = _standard_witness_file(tmp_path, capsys)
+    labels = fock_truncation(2, 2).labels[::-1]
+    a = random_hermitian(np.random.default_rng(80), 7, labels)
+    afile = _matrix_file(tmp_path, "a.json", matrix_to_json(a))
+    code, envelope, _ = run_cli(capsys, "decompose", "--a", afile, "--witness", str(wfile))
+    assert code == 1
+    assert envelope["error"]["code"] == "input-error"
+    assert "labels" in envelope["error"]["message"]
+
+
+def test_an_element_of_another_dimension_is_a_dimension_mismatch(tmp_path, capsys):
+    wfile = _standard_witness_file(tmp_path, capsys)
+    a = random_hermitian(np.random.default_rng(84), 15, fock_truncation(2, 3).labels)
+    for element in (a, Operator(a.entries)):
+        afile = _matrix_file(tmp_path, "a.json", matrix_to_json(element))
+        code, envelope, _ = run_cli(capsys, "decompose", "--a", afile, "--witness", str(wfile))
+        assert code == 2
+        assert envelope["error"]["code"] == "dimension-mismatch"
+
+
+def test_an_unlabelled_element_takes_the_witness_labels(tmp_path, capsys):
+    wfile = _standard_witness_file(tmp_path, capsys)
+    a = random_hermitian(np.random.default_rng(81), 7)
+    afile = _matrix_file(tmp_path, "a.json", matrix_to_json(a))
+    report, verdict = _decompose_then_verify(tmp_path, capsys, afile, wfile)
+    assert report["a"]["labels"] == list(fock_truncation(2, 2).labels)
+    assert report["residual_interior_norm"] <= 1e-8
+    for key in _RESIDUAL_FIELDS:
+        assert verdict[key] == report[key]
+
+
+def test_a_labelled_element_with_an_unlabelled_witness_agrees_with_verify(tmp_path, capsys):
+    wfile = _standard_witness_file(tmp_path, capsys)
+    witness = json.loads(wfile.read_text())
+    for element in witness["elements"]:
+        del element["labels"]
+    wfile.write_text(json.dumps(witness))
+    a = random_hermitian(np.random.default_rng(82), 7, fock_truncation(2, 2).labels)
+    afile = _matrix_file(tmp_path, "a.json", matrix_to_json(a))
+    report, verdict = _decompose_then_verify(tmp_path, capsys, afile, wfile)
+    assert report["residual_interior_norm"] <= 1e-8
+    for key in _RESIDUAL_FIELDS:
+        assert verdict[key] == report[key]
+
+
+def test_a_witness_file_that_claims_no_eta2_is_decomposed(tmp_path, capsys):
+    wfile = _standard_witness_file(tmp_path, capsys)
+    a = random_hermitian(np.random.default_rng(83), 7, fock_truncation(2, 2).labels)
+    afile = _matrix_file(tmp_path, "a.json", matrix_to_json(a))
+    argv = ("decompose", "--a", afile, "--witness", str(wfile))
+    code, _, claimed = run_cli(capsys, *argv)
+    assert code == 0
+    witness = json.loads(wfile.read_text())
+    for drop in (lambda w: w["report"].pop("eta2"), lambda w: w.pop("report")):
+        drop(witness)
+        wfile.write_text(json.dumps(witness))
+        code, _, unclaimed = run_cli(capsys, *argv)
+        assert code == 0
+        assert unclaimed == claimed
 
 
 def test_eval_normal_form_and_composition(capsys):

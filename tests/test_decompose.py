@@ -25,7 +25,7 @@ from traceless import (
     verify_decomposition,
     zero,
 )
-from traceless.cuntz import adjoint, multiply_scalar, zero_poly
+from traceless.cuntz import adjoint, fock_truncation, multiply_scalar, symbolic_norm, zero_poly
 from traceless.decompose import CommutatorPair
 from traceless.errors import (
     DimensionMismatch,
@@ -42,7 +42,14 @@ from traceless.witness import (
     toeplitz_candidate_family,
 )
 
-from helpers import brute_neumann, brute_phi, random_hermitian, random_operator, random_poly
+from helpers import (
+    brute_neumann,
+    brute_phi,
+    commutator_residual,
+    random_hermitian,
+    random_operator,
+    random_poly,
+)
 
 
 @pytest.fixture(scope="module")
@@ -271,11 +278,12 @@ def test_decompose_identity_truncated_standard():
     w = standard_isometry_witness(2, depth=3)
     a = identity(15, w.elements[0].basis_labels)
     result = decompose_element(a, w, eps=1e-10)
-    assert result.residual_interior_norm <= 1e-8
-    assert result.trace_defect <= 1e-9
+    report = verify_decomposition(a, result.pairs, w.interior_mask)
+    assert report.residual_interior_norm <= 1e-8
+    assert report.trace_defect <= 1e-9
     # residual lives on the boundary words
     interior = [k for k, word in enumerate(w.elements[0].basis_labels) if len(word) <= 2]
-    sub = result.residual.entries[np.ix_(interior, interior)]
+    sub = commutator_residual(a, result.pairs).entries[np.ix_(interior, interior)]
     assert np.max(np.abs(sub)) <= 1e-10
 
 
@@ -297,10 +305,10 @@ def test_decompose_random_with_toeplitz_witness(toeplitz_witness_L5):
     for _ in range(3):
         a = random_hermitian(rng, dim, w.elements[0].basis_labels)
         result = decompose_element(a, w, eps=1e-10)
-        assert result.residual_interior_norm <= 1e-8
-        assert result.solver.tail_bound <= 1e-10
         check = verify_decomposition(a, result.pairs, interior_mask=w.interior_mask)
-        assert abs(check.residual_norm - result.residual_norm) <= 1e-12
+        assert check.residual_interior_norm <= 1e-8
+        assert result.solver.tail_bound <= 1e-10
+        assert abs(check.residual_norm - op_norm(commutator_residual(a, result.pairs))) <= 1e-12
 
 
 def test_decompose_symbolic_with_supplied_psi():
@@ -309,7 +317,8 @@ def test_decompose_symbolic_with_supplied_psi():
     psi = multiply_scalar(unit(2), 2.0)
     result = decompose_element(a, ws, psi=psi)
     # sum [b_i*, b_i 2] = 2 - phi(2) = 1 + q, so the residual is exactly -q
-    assert equals(result.residual, multiply_scalar(vacuum_projection(2), -1.0), 1e-12)
+    residual = commutator_residual(a, result.pairs)
+    assert equals(residual, multiply_scalar(vacuum_projection(2), -1.0), 1e-12)
     assert result.solver.method == "supplied"
 
 
@@ -328,7 +337,8 @@ def test_trace_obstruction_floor(toeplitz_witness_L5):
     for _ in range(5):
         a = random_operator(rng, dim)
         result = decompose_element(a, w, eps=1e-10)
-        assert result.residual_norm >= abs(a.trace()) / dim - 1e-9
+        report = verify_decomposition(a, result.pairs, w.interior_mask)
+        assert report.residual_norm >= abs(a.trace()) / dim - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +349,7 @@ def test_trace_obstruction_floor(toeplitz_witness_L5):
 def test_positive_zero():
     w = standard_isometry_witness(2, depth=2)
     result = decompose_positive(zero(7), w)
-    assert result.residual_norm == 0.0
+    assert verify_decomposition(zero(7), result.pairs, w.interior_mask).residual_norm == 0.0
     for pair in result.pairs:
         assert pair.self_adjoint_form
         assert op_norm(pair.x) <= 1e-14
@@ -349,7 +359,7 @@ def test_positive_identity_truncated_standard():
     w = standard_isometry_witness(2, depth=3)
     a = identity(15, w.elements[0].basis_labels)
     result = decompose_positive(a, w, eps=1e-10)
-    assert result.residual_interior_norm <= 1e-8
+    assert verify_decomposition(a, result.pairs, w.interior_mask).residual_interior_norm <= 1e-8
     for pair in result.pairs:
         contribution = pair.x @ pair.y - pair.y @ pair.x
         assert op_norm(contribution - contribution.adjoint()) <= 1e-12
@@ -407,8 +417,10 @@ def test_verify_matches_engine(toeplitz_witness_L5):
     a = random_hermitian(rng, w.elements[0].dim, w.elements[0].basis_labels)
     result = decompose_element(a, w, eps=1e-10)
     report = verify_decomposition(a, result.pairs, interior_mask=w.interior_mask)
-    assert abs(report.residual_norm - result.residual_norm) <= 1e-12
-    assert abs(report.residual_interior_norm - result.residual_interior_norm) <= 1e-12
+    residual = commutator_residual(a, result.pairs).entries
+    keep = w.interior_mask
+    assert abs(report.residual_norm - op_norm(residual)) <= 1e-12
+    assert abs(report.residual_interior_norm - op_norm(residual[np.ix_(keep, keep)])) <= 1e-12
     assert report.trace_defect <= 1e-9 * a.dim
 
 
@@ -418,8 +430,9 @@ def test_interior_norm_slices_the_mask_and_rejects_non_projections(toeplitz_witn
     a = random_hermitian(rng, w.elements[0].dim, w.elements[0].basis_labels)
     result = decompose_element(a, w, eps=1e-10)
     p = np.diag(w.interior_mask.astype(float))
-    dense = op_norm(p @ result.residual.entries @ p)
-    assert abs(result.residual_interior_norm - dense) <= 1e-12 * max(1.0, dense)
+    dense = op_norm(p @ commutator_residual(a, result.pairs).entries @ p)
+    report = verify_decomposition(a, result.pairs, interior_mask=w.interior_mask)
+    assert abs(report.residual_interior_norm - dense) <= 1e-12 * max(1.0, dense)
     with pytest.raises(ValueError):
         verify_decomposition(a, result.pairs, interior_mask=w.interior_mask.astype(float))
     with pytest.raises(DimensionMismatch):
@@ -443,28 +456,24 @@ def test_reverse_identity_random_polynomials():
 
 
 # ---------------------------------------------------------------------------
-# one residual computation: the engine reports what the verifier recomputes
+# one residual computation: the engine returns pairs, the verifier checks them
 # ---------------------------------------------------------------------------
 
 
-def _assert_report_matches(result, report):
-    assert result.residual_norm == report.residual_norm
-    assert result.residual_interior_norm == report.residual_interior_norm
-    assert result.trace_defect == report.trace_defect
+def test_the_engine_takes_no_norm_of_a_residual(monkeypatch, toeplitz_witness_L5):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine took an operator norm")
 
-
-@pytest.mark.parametrize("solver", ["neumann", "direct"])
-def test_engine_and_verifier_agree_bitwise(toeplitz_witness_L5, solver):
-    rng = np.random.default_rng(70)
+    monkeypatch.setattr("traceless.decompose.op_norm", refuse)
     w = toeplitz_witness_L5
+    rng = np.random.default_rng(70)
     labels = w.elements[0].basis_labels
     a = random_operator(rng, w.elements[0].dim, labels)
-    result = decompose_element(a, w, eps=1e-10, solver=solver)
-    _assert_report_matches(result, verify_decomposition(a, result.pairs, w.interior_mask))
-    g = random_operator(rng, w.elements[0].dim).entries
-    p = Operator(g @ g.conj().T / len(labels), labels)
-    result = decompose_positive(p, w, eps=1e-10, solver=solver)
-    _assert_report_matches(result, verify_decomposition(p, result.pairs, w.interior_mask))
+    for solver in ("neumann", "direct"):
+        assert len(decompose_element(a, w, eps=1e-10, solver=solver).pairs) == w.n
+        g = random_operator(rng, w.elements[0].dim).entries
+        p = Operator(g @ g.conj().T / len(labels), labels)
+        assert len(decompose_positive(p, w, eps=1e-10, solver=solver).pairs) == w.n
 
 
 def test_symbolic_engine_and_verifier_agree_bitwise():
@@ -473,5 +482,23 @@ def test_symbolic_engine_and_verifier_agree_bitwise():
     for _ in range(5):
         a, psi = random_poly(rng), random_poly(rng)
         result = decompose_element(a, ws, psi=psi)
-        _assert_report_matches(result, verify_decomposition(a, result.pairs))
-        assert equals(result.residual, a - (psi - apply_phi(psi, ws)), 1e-12)
+        residual = commutator_residual(a, result.pairs)
+        assert equals(residual, a - (psi - apply_phi(psi, ws)), 1e-12)
+        report = verify_decomposition(a, result.pairs)
+        assert report.residual_norm == report.residual_interior_norm
+        assert report.residual_norm == pytest.approx(symbolic_norm(residual).value, abs=1e-12)
+        assert report.trace_defect is None
+
+
+def test_verify_refuses_symbolic_pairs_for_a_matrix():
+    matrix = identity(7, fock_truncation(2, 2).labels)
+    poly = parse_star_poly("s1", 2)
+    with pytest.raises(TypeError, match="StarPolynomial in a decomposition of Operator elements"):
+        verify_decomposition(matrix, [CommutatorPair(poly, poly.adjoint())])
+
+
+def test_verify_refuses_matrix_pairs_for_a_symbolic_element():
+    matrix = identity(7, fock_truncation(2, 2).labels)
+    poly = parse_star_poly("s1", 2)
+    with pytest.raises(TypeError, match="Operator in a decomposition of StarPolynomial elements"):
+        verify_decomposition(poly, [CommutatorPair(matrix, matrix)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceless import Operator, equals, evaluate_witness, fock_truncation, op_norm, parse_star_poly
-from traceless.decompose import decompose_element, solve_psi_direct
+from traceless.decompose import decompose_element, solve_psi_direct, verify_decomposition
 from traceless.serialization import (
     decomposition_from_json,
     decomposition_to_json,
@@ -132,7 +132,8 @@ def test_decomposition_report_round_trip():
     witness = evaluate_witness(build_witness(toeplitz_candidate_family(2)), 4)
     a = random_hermitian(rng, 31, witness.elements[0].basis_labels)
     result = decompose_element(a, witness, eps=1e-10)
-    data = json.loads(dumps(decomposition_to_json(result, a=a)))
+    report = verify_decomposition(a, result.pairs, witness.interior_mask)
+    data = json.loads(dumps(decomposition_to_json(result, report, a=a)))
     a2, pairs, raw = decomposition_from_json(data)
     assert op_norm(a2 - a) == 0.0
     assert len(pairs) == witness.n
@@ -164,10 +165,13 @@ def test_floats_survive_round_trip():
 def test_decomposition_backend_follows_the_elements():
     a = parse_star_poly("s1 s2*", 2)
     symbolic = decompose_element(a, standard_isometry_witness(2), psi=a)
-    assert decomposition_to_json(symbolic, a=a)["backend"] == "symbolic"
+    report = verify_decomposition(a, symbolic.pairs)
+    assert decomposition_to_json(symbolic, report, a=a)["backend"] == "symbolic"
     witness = standard_isometry_witness(2, depth=2)
-    matrix = decompose_element(random_hermitian(np.random.default_rng(53), 7), witness)
-    assert decomposition_to_json(matrix)["backend"] == "matrix"
+    m = random_hermitian(np.random.default_rng(53), 7)
+    matrix = decompose_element(m, witness)
+    report = verify_decomposition(m, matrix.pairs)
+    assert decomposition_to_json(matrix, report)["backend"] == "matrix"
 
 
 # floats json writes in shortest round-trip form, with the edge cases of

@@ -138,6 +138,33 @@ def build(corpus: Corpus) -> None:
     for name in reports:
         run(f"verify-{name}", "verify", "--report", f"d-{name}.json", "--out", f"v-{name}.json")
 
+    # the element is read in the witness's basis: refused when both carry
+    # different labels, given the witness's labels when it has none
+    reversed_labels = load("a-d3.json")
+    reversed_labels["labels"].reverse()
+    write("a-d3-labels-reversed.json", reversed_labels)
+    run("decompose-a-labels-reversed", "decompose", "--a", "a-d3-labels-reversed.json",
+        "--witness", "w-standard-d3.json")
+    unlabelled_a = load("a-d3.json")
+    del unlabelled_a["labels"]
+    write("a-d3-unlabelled.json", unlabelled_a)
+    unlabelled_w = load("w-standard-d3.json")
+    for element in unlabelled_w["elements"]:
+        del element["labels"]
+    write("w-standard-d3-unlabelled.json", unlabelled_w)
+    labelling = {
+        "a-unlabelled": ("a-d3-unlabelled.json", "w-standard-d3.json"),
+        "witness-unlabelled": ("a-d3.json", "w-standard-d3-unlabelled.json"),
+    }
+    for name, (a, w) in labelling.items():
+        run(f"decompose-{name}", "decompose", "--a", a, "--witness", w,
+            "--out", f"d-{name}.json")
+        run(f"verify-{name}", "verify", "--report", f"d-{name}.json", "--out", f"v-{name}.json")
+    no_report = load("w-standard-d3.json")
+    del no_report["report"]
+    write("w-no-report.json", no_report)
+    run("decompose-no-report", "decompose", "--a", "a-d3.json", "--witness", "w-no-report.json")
+
     # domain and input errors
     run("decompose-direct-too-large", "decompose", "--a", "a-d6.json",
         "--witness", "w-standard-d6.json", "--solver", "direct")
