@@ -77,9 +77,7 @@ from .decompose import (
 from .tracedist import (
     CommutatorSpanFamily,
     DistanceEstimate,
-    TraceCertificate,
     commutator_distance,
-    trace_certificate,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .serialization import (
     _claimed_eta2,
     decomposition_from_json,
     decomposition_to_json,
+    dump_envelope,
     dumps,
     element_from_json,
     elements_from_json,
@@ -248,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="distance from 1 to a commutator span")
     p.add_argument("--family", required=True, help='family JSON file {"generators": [...]}')
     p.add_argument("--dim", type=int, default=None, help="dimension for an empty family")
-    p.add_argument("--polish", type=int, default=200, help="operator-norm polish steps")
+    p.add_argument("--polish", type=int, default=200, help="at most this many operator-norm polish steps")
     p.add_argument(
         "--interior-length", type=int, default=None, help="compress to words of length <= K"
     )
@@ -290,10 +291,12 @@ def main(argv=None) -> int:
         return 2
     envelope["result"] = result
     out = getattr(args, "out", None)
-    if out is not None and artifact is not None:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(dumps(artifact))
-    sys.stdout.write(dumps(envelope))
+    if out is None or artifact is None:
+        sys.stdout.write(dumps(envelope))
+        return code
+    # the result embeds the artifact, so its one render serves both
+    with open(out, "w", encoding="utf-8") as handle:
+        dump_envelope(envelope, artifact, sys.stdout, handle)
     return code
 
 

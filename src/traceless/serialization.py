@@ -58,6 +58,7 @@ __all__ = [
     "verification_to_json",
     "estimate_to_json",
     "dumps",
+    "dump_envelope",
 ]
 
 
@@ -74,6 +75,28 @@ def dumps(obj) -> str:
     _encode(obj, 0, chunks)
     chunks.append("\n")
     return "".join(chunks)
+
+
+def dump_envelope(envelope, artifact, out, artifact_out) -> None:
+    """Write ``dumps(artifact)`` to ``artifact_out`` and ``dumps(envelope)`` to ``out``.
+
+    The artifact is rendered once: wherever the envelope holds the artifact
+    object itself (by identity), its text is spliced in with each line's
+    indent shifted to that depth.  For a large artifact the peak memory stays
+    that of one ``dumps``: the envelope's chunks go out unjoined, and the
+    artifact's text is dropped once spliced, before anything is encoded.
+    """
+    chunks: list[str] = []
+    _encode(artifact, 0, chunks)
+    rendered = (artifact, "".join(chunks))
+    del chunks
+    artifact_out.write(rendered[1])
+    artifact_out.write("\n")
+    chunks = []
+    _encode(envelope, 0, chunks, rendered)
+    del rendered
+    chunks.append("\n")
+    out.writelines(chunks)
 
 
 def _scalar(value) -> str | None:
@@ -115,7 +138,12 @@ def _float_pair_row(row, level: int) -> str | None:
     )
 
 
-def _encode(value, level: int, out: list[str]) -> None:
+def _encode(value, level: int, out: list[str], rendered=None) -> None:
+    """Append the text of ``value`` at indent ``level``; ``rendered`` is None or
+    an (object, its text at level 0) pair to splice in, not render again."""
+    if rendered is not None and value is rendered[0]:
+        out.append(rendered[1].replace("\n", "\n" + "  " * level))
+        return
     text = _scalar(value)
     if text is not None:
         out.append(text)
@@ -133,7 +161,7 @@ def _encode(value, level: int, out: list[str]) -> None:
         for i, item in enumerate(value):
             if i:
                 out.append("," + indent)
-            _encode(item, level + 1, out)
+            _encode(item, level + 1, out, rendered)
         out.append("\n" + "  " * level + "]")
     elif isinstance(value, dict):
         if not value:
@@ -147,7 +175,7 @@ def _encode(value, level: int, out: list[str]) -> None:
             if i:
                 out.append("," + indent)
             out.append(encode_basestring_ascii(key) + ": ")
-            _encode(item, level + 1, out)
+            _encode(item, level + 1, out, rendered)
         out.append("\n" + "  " * level + "}")
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
@@ -400,4 +428,5 @@ def estimate_to_json(estimate: DistanceEstimate) -> dict:
         "coefficients": [float(t) for t in estimate.coefficients],
         "frobenius_residual": estimate.frobenius_residual,
         "opnorm_residual": estimate.opnorm_residual,
+        "lower_bound": estimate.lower_bound,
     }

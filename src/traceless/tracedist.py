@@ -1,25 +1,26 @@
-"""Distance from 1 to spans of self-adjoint commutators, and trace certificates.
+"""Distance from 1 to spans of self-adjoint commutators, bracketed from both sides.
 
 For generators a_1..a_m the Hermitian elements c_i = a_i* a_i - a_i a_i*
 span a real subspace of trace-free matrices.  ``commutator_distance``
 projects 1 onto that span in the Frobenius (trace) inner product, then
-polishes the coefficients by subgradient steps on the operator norm; the
-reported operator-norm residual upper-bounds the distance from 1 to the
+polishes the coefficients by subgradient steps on the operator norm.  The
+best operator-norm residual found upper-bounds the distance from 1 to the
 span of this particular family.
 
-In a matrix algebra the normalized trace pins that distance at 1: every
-span element x is trace-free, so ||1 - x|| >= |tr(1 - x)| / dim = 1.
-``trace_certificate`` packages that functional.  Compressing the family to
-a truncation interior removes the trace constraint and lets the residual
-drop below 1, which is how the finite picture reflects algebras without
-tracial states.
+The lower bound is the dual side.  For a Hermitian rho with
+tr(rho c_i) = 0 for every i, Hoelder's inequality with the trace norm gives
+||1 - sum t_i c_i|| >= |tr(rho)| / ||rho||_1 for every t.  In a matrix
+algebra rho = 1 is such a functional, the trace, and pins the distance at
+1.  Compressing the family to a truncation interior removes the trace
+constraint and lets the residual drop below 1, which is how the finite
+picture reflects algebras without tracial states.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +31,26 @@ from .linalg import Operator, frobenius_norm, op_norm
 __all__ = [
     "CommutatorSpanFamily",
     "DistanceEstimate",
-    "TraceCertificate",
     "commutator_span_family",
     "commutator_distance",
-    "trace_certificate",
 ]
 
 GRAM_REGULARIZATION = 1e-12
+
+# polishing stops once upper - lower <= BRACKET_TOL * upper
+BRACKET_TOL = 1e-12
+
+# a dual rho is kept only if max_i |tr(rho c_i)| <= FEASIBILITY_TOL ||rho||_1 ||c_i||_F
+FEASIBILITY_TOL = 1e-12
+
+# a projected seed whose trace norm is below this multiple of the seed's
+# Frobenius norm is what rounding left of a seed in the span: no bound
+ROUNDING_LEVEL = 1e-8
+
+EPS = float(np.finfo(float).eps)
+
+# the average of the subgradients is tried as a dual seed every DUAL_EVERY steps
+DUAL_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -50,9 +64,18 @@ class CommutatorSpanFamily:
 
 @dataclass(frozen=True)
 class DistanceEstimate:
+    """lower_bound <= dist(1, span{c_i}) <= opnorm_residual.
+
+    ``rho`` is the dual functional that gives ``lower_bound`` (None when no
+    seed gave a bound, and ``lower_bound`` is 0.0).  It is kept in memory
+    only, so that a caller can check the bound, and takes no part in ``==``.
+    """
+
     coefficients: tuple[float, ...]
     frobenius_residual: float
     opnorm_residual: float
+    lower_bound: float
+    rho: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def commutator_span_family(generators, dim: int | None = None) -> CommutatorSpanFamily:
@@ -73,18 +96,63 @@ def commutator_span_family(generators, dim: int | None = None) -> CommutatorSpan
     return CommutatorSpanFamily(generators, tuple(span), d)
 
 
+def _minus_span(x: np.ndarray, t, span) -> np.ndarray:
+    """x - sum_j t_j c_j, subtracted in index order."""
+    out = x.copy()
+    for tj, c in zip(t, span):
+        out -= tj * c
+    return out
+
+
+class _Dual:
+    """Dual bounds |tr(rho)| / ||rho||_1 from Hermitian seeds projected off the span."""
+
+    def __init__(self, span: list[np.ndarray], gram: np.ndarray):
+        self.span = span
+        self.gram = gram
+        self.span_norms = np.sqrt(np.diag(gram))
+
+    def inner(self, x: np.ndarray) -> np.ndarray:
+        """tr(c_i x) for each i, for a Hermitian x."""
+        return np.array([np.vdot(c, x).real for c in self.span])
+
+    def bound(self, seed: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """(bound, rho) for the seed minus its Frobenius projection, (0.0, None)
+        when the result is not feasible to FEASIBILITY_TOL or is rounding."""
+        rho = seed
+        # a least-squares solve, which stays exact on the span when the Gram
+        # matrix is singular; the second pass removes what rounding left
+        for _ in range(2):
+            coeffs = np.linalg.lstsq(self.gram, self.inner(rho), rcond=None)[0]
+            rho = _minus_span(rho, coeffs, self.span)
+        trace_norm = float(np.abs(np.linalg.eigvalsh(rho)).sum())
+        if trace_norm <= ROUNDING_LEVEL * frobenius_norm(seed):
+            return 0.0, None
+        if np.any(np.abs(self.inner(rho)) > FEASIBILITY_TOL * trace_norm * self.span_norms):
+            return 0.0, None
+        # |tr(rho)| <= ||rho||_1 holds exactly, and a sum of dim eigenvalues is
+        # rounded by up to about dim * eps, so a closed bracket stays ordered
+        trace = abs(float(np.trace(rho).real))
+        return trace / (max(trace_norm, trace) * (1.0 + len(rho) * EPS)), rho
+
+
 def commutator_distance(
     family: CommutatorSpanFamily,
     polish_steps: int = 200,
     interior_mask: np.ndarray | None = None,
 ) -> DistanceEstimate:
-    """Best found upper bound on dist(1, span{c_i}).
+    """Bracket dist(1, span{c_i}) between a dual lower and a primal upper bound.
 
     Solves the Frobenius least-squares projection (Gram matrix regularized
-    by 1e-12) and then runs ``polish_steps`` normalized subgradient steps of
-    size 1/sqrt(step) on the operator-norm objective, keeping the best
-    iterate.  Each iterate costs one SVD, whose top singular triple gives
-    both its objective value and the next subgradient.  With
+    by 1e-12), then runs at most ``polish_steps`` Polyak subgradient steps
+    (f - lower) / ||g||^2 on the operator-norm objective, keeping the best
+    iterate.  The residual is Hermitian, so each iterate costs one ``eigh``,
+    whose eigenvalue of largest modulus and its eigenvector u give both the
+    objective and the subgradient +-u u*.  The lower bound comes from the
+    seed rho = 1 and from the running average of the subgradients, tried
+    every ``DUAL_EVERY`` steps.  Polishing stops early once the two bounds
+    agree to ``BRACKET_TOL``, which the unmasked problem does at once: there
+    tr(c_i) = 0, so the projection is t = 0 and rho = 1 certifies 1.  With
     ``interior_mask``, a bool vector of length ``family.dim``, the whole
     problem is compressed first to the block of the basis vectors it keeps.
     """
@@ -98,7 +166,7 @@ def commutator_distance(
         span = [c[np.ix_(keep, keep)] for c in span]
     target = np.eye(dim, dtype=complex)
     if not span:
-        return DistanceEstimate((), frobenius_norm(target), op_norm(target))
+        return DistanceEstimate((), frobenius_norm(target), op_norm(target), 1.0, target)
 
     m = len(span)
     gram = np.zeros((m, m))
@@ -110,58 +178,33 @@ def commutator_distance(
             gram[j, k] = inner
             gram[k, j] = inner
     coeffs = np.linalg.solve(gram + GRAM_REGULARIZATION * np.eye(m), rhs)
-
-    def residual_of(t):
-        res = target.copy()
-        for j in range(m):
-            res -= t[j] * span[j]
-        return res
+    dual = _Dual(span, gram)
+    lower, rho = dual.bound(target)
 
     t = coeffs
-    residual = residual_of(t)
+    residual = _minus_span(target, t, span)
     frob = frobenius_norm(residual)
     best_t, best_op = t, math.inf
+    average = np.zeros_like(target)
     for step in itertools.count(1):
-        u, sigma, vh = np.linalg.svd(residual)
-        if sigma[0] < best_op:
-            best_t, best_op = t, float(sigma[0])
-        if step > polish_steps:
+        w, v = np.linalg.eigh(residual)
+        top = 0 if abs(w[0]) > abs(w[-1]) else -1
+        value = abs(float(w[top]))
+        if value < best_op:
+            best_t, best_op = t, value
+        if best_op - lower <= BRACKET_TOL * best_op or step > polish_steps:
             break
-        top_u = u[:, 0]
-        top_v = vh[0, :].conj()
-        grad = np.array(
-            [-float((top_u.conj() @ (span[j] @ top_v)).real) for j in range(m)]
-        )
+        u = v[:, top]
+        subgradient = math.copysign(1.0, w[top]) * np.outer(u, u.conj())
+        average += (subgradient - average) / step
+        if step % DUAL_EVERY == 0:
+            candidate, candidate_rho = dual.bound(average)
+            if candidate > lower:
+                lower, rho = candidate, candidate_rho
+        grad = -dual.inner(subgradient)
         norm_grad = float(np.linalg.norm(grad))
         if norm_grad < 1e-15:
             break
-        t = t - (1.0 / math.sqrt(step)) * grad / norm_grad
-        residual = residual_of(t)
-    return DistanceEstimate(tuple(float(v) for v in best_t), frob, best_op)
-
-
-class TraceCertificate:
-    """The normalized matrix trace tau(x) = tr(x)/dim.
-
-    A tracial state: tau(1) = 1, tau(xy) = tau(yx), tau(x*x) >= 0.  Its
-    existence forces ||1 - x|| >= 1 for every trace-free x, the obstruction
-    that witness construction runs into in any matrix algebra.
-    """
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        self.dim = int(dim)
-
-    def __call__(self, x) -> complex:
-        entries = x.entries if isinstance(x, Operator) else np.asarray(x, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"expected dim {self.dim}, got {entries.shape}")
-        return complex(np.trace(entries) / self.dim)
-
-    def __repr__(self) -> str:
-        return f"TraceCertificate(dim={self.dim})"
-
-
-def trace_certificate(dim: int) -> TraceCertificate:
-    return TraceCertificate(dim)
+        t = t - (value - lower) / norm_grad**2 * grad
+        residual = _minus_span(target, t, span)
+    return DistanceEstimate(tuple(float(v) for v in best_t), frob, best_op, lower, rho)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -11,6 +12,7 @@ from traceless.decompose import decompose_element, solve_psi_direct, verify_deco
 from traceless.serialization import (
     decomposition_from_json,
     decomposition_to_json,
+    dump_envelope,
     dumps,
     element_from_json,
     matrix_from_json,
@@ -225,6 +227,18 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_dumps_is_byte_identical_to_json(value):
     assert dumps(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES, JSON_VALUES, st.lists(st.booleans(), max_size=3))
+def test_dump_envelope_renders_the_artifact_once_to_the_same_bytes(artifact, other, nesting):
+    envelope = artifact
+    for in_list in nesting:
+        envelope = [other, envelope] if in_list else {"config": other, "result": envelope}
+    out, artifact_out = io.StringIO(), io.StringIO()
+    dump_envelope(envelope, artifact, out, artifact_out)
+    assert out.getvalue() == dumps(envelope)
+    assert artifact_out.getvalue() == dumps(artifact)
 
 
 @settings(max_examples=50, deadline=None)

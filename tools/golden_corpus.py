@@ -12,51 +12,106 @@ stdout does not depend on where OUT_DIR is. The tool writes:
 - every ``--out`` artifact, under the name the run gives it;
 - the derived input files (candidate and span families assembled from
   artifacts, and tampered or malformed copies of them), written with the
-  standard ``json`` module.
+  standard ``json`` module;
+- ``OUT_DIR/manifest.json``: the manifest described below.
 
 Two checkouts produce the same CLI bytes when ``diff -r`` of their output
 directories is empty. A checkout older than this script can run a copy of
 it placed in its own ``tools/``.
+
+The manifest holds every run's exit code and, for each stdout and
+artifact, what must stay the same across checkouts and BLAS builds:
+
+- error envelopes and symbolic results hold no float that BLAS computed,
+  so they are kept as a sha256 of their bytes;
+- every other file (a matrix run's) is kept as a sha256 of its parsed JSON
+  with each float replaced by 0.0 and each ``"entries"`` matrix by its
+  shape, plus its numbers: every float outside a matrix, and for each
+  matrix its Frobenius norm and a fixed weighted sum of its values.
+
+``compare`` checks two manifests, the numbers at 1e-12 relative plus 1e-12
+absolute per value (for a matrix, the bound on its norm and weighted sum
+that this per-value tolerance implies). ``tests/golden_manifest.json`` is
+the manifest of the committed outputs, and ``tests/test_golden.py`` runs the
+corpus in process against it. A change that alters outputs on purpose
+copies the new ``OUT_DIR/manifest.json`` over it, so that the manifest's
+diff shows what changed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# per-value tolerance of the numbers of a matrix run
+REL_TOL = 1e-12
+ABS_TOL = 1e-12
 
 A_EXPR = "s1 s2* + s2 s1* + 0.5*s1 + 0.5*s1* + 0.25"
 POSITIVE_EXPR = "2 + s1 + s1*"
 
 
 class Corpus:
-    """Runs CLI commands in ``out_dir`` and records their exit codes."""
+    """Runs CLI commands in ``out_dir`` and records their exit codes and outputs.
 
-    def __init__(self, out_dir: Path):
+    With ``in_process``, each run calls ``traceless.cli.main`` in this
+    process, from ``out_dir``, in place of a subprocess.
+    """
+
+    def __init__(self, out_dir: Path, in_process: bool = False):
         self.out_dir = out_dir
+        self.in_process = in_process
         self.codes: list[str] = []
+        self.artifacts: dict[str, str | None] = {}
         self.env = dict(os.environ)
         self.env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
         )
 
     def run(self, name: str, *argv: str) -> None:
-        proc = subprocess.run(
-            [sys.executable, "-m", "traceless.cli", *argv],
-            cwd=self.out_dir,
-            env=self.env,
-            capture_output=True,
-            text=True,
-        )
-        (self.out_dir / f"{name}.stdout").write_text(proc.stdout, encoding="utf-8")
-        self.codes.append(f"{name} {proc.returncode}")
-        if proc.stderr:
-            # stderr holds absolute paths, so it is reported, not kept
-            print(f"{name}: exit {proc.returncode}, wrote to stderr", file=sys.stderr)
+        if self.in_process:
+            code, stdout = self._run_in_process(argv)
+        else:
+            proc = subprocess.run(
+                [sys.executable, "-m", "traceless.cli", *argv],
+                cwd=self.out_dir,
+                env=self.env,
+                capture_output=True,
+                text=True,
+            )
+            code, stdout = proc.returncode, proc.stdout
+            if proc.stderr:
+                # stderr holds absolute paths, so it is reported, not kept
+                print(f"{name}: exit {code}, wrote to stderr", file=sys.stderr)
+        (self.out_dir / f"{name}.stdout").write_text(stdout, encoding="utf-8")
+        self.codes.append(f"{name} {code}")
+        self.artifacts[name] = argv[argv.index("--out") + 1] if "--out" in argv else None
+
+    def _run_in_process(self, argv) -> tuple[int, str]:
+        from traceless import cli
+
+        stdout = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(self.out_dir)
+        try:
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+        return code, stdout.getvalue()
 
     def load(self, name: str):
         return json.loads((self.out_dir / name).read_text(encoding="utf-8"))
@@ -67,6 +122,135 @@ class Corpus:
 
     def finish(self) -> None:
         (self.out_dir / "exit-codes.txt").write_text("\n".join(self.codes) + "\n")
+
+    def manifest(self) -> dict:
+        runs = {}
+        for line in self.codes:
+            name, code = line.rsplit(" ", 1)
+            stdout = (self.out_dir / f"{name}.stdout").read_text(encoding="utf-8")
+            try:
+                envelope = json.loads(stdout)
+            except json.JSONDecodeError:  # a crash: empty or partial output
+                envelope = {"error": None}
+            paths = [f"{name}.stdout"]
+            # the CLI writes the artifact of every run that reports no error
+            if self.artifacts[name] is not None and "error" not in envelope:
+                paths.append(self.artifacts[name])
+            exact = "error" in envelope or not _holds_matrix_values(envelope)
+            files = {
+                path: _describe((self.out_dir / path).read_text(encoding="utf-8"), exact)
+                for path in paths
+            }
+            runs[name] = {"exit": int(code), "files": files}
+        return {"runs": runs}
+
+
+def _holds_matrix_values(envelope: dict) -> bool:
+    """A result holds floats computed through BLAS: every result of the
+    matrix-only commands, and any result with a matrix in it."""
+    if envelope["command"] in ("decompose", "verify", "dist"):
+        return True
+
+    def walk(value):
+        if isinstance(value, dict):
+            if "entries" in value or value.get("backend") == "matrix":
+                return True
+            return any(walk(item) for item in value.values())
+        if isinstance(value, list):
+            return any(walk(item) for item in value)
+        return False
+
+    return walk(envelope["result"])
+
+
+def _describe(text: str, exact: bool) -> dict:
+    if exact:
+        return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+    numbers: list = []
+    skeleton = json.dumps(_skeleton(json.loads(text), numbers))
+    return {"skeleton_sha256": hashlib.sha256(skeleton.encode()).hexdigest(), "numbers": numbers}
+
+
+def _weights(count: int) -> np.ndarray:
+    """Fixed weights in [1, 2), not periodic, so a moved value changes the sum."""
+    return 1.0 + np.modf(np.arange(count) * ((math.sqrt(5.0) - 1.0) / 2.0))[0]
+
+
+def _skeleton(value, numbers: list):
+    """``value`` with each float replaced by 0.0 and each "entries" matrix by
+    its shape; appends to ``numbers``, in document order, each float outside
+    a matrix, and for each matrix {"frobenius", "weighted", "count"}."""
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if key == "entries":
+                values = np.asarray(item, dtype=float)
+                flat = values.ravel()
+                numbers.append({
+                    "frobenius": float(np.linalg.norm(flat)),
+                    "weighted": float(_weights(flat.size) @ flat),
+                    "count": int(flat.size),
+                })
+                out[key] = list(values.shape)
+            else:
+                out[key] = _skeleton(item, numbers)
+        return out
+    if isinstance(value, list):
+        return [_skeleton(item, numbers) for item in value]
+    if isinstance(value, float):
+        numbers.append(value)
+        return 0.0
+    return value
+
+
+def _close_matrix(new: dict, old: dict) -> bool:
+    """The bounds on the norm and the weighted sum that per-value changes of
+    at most REL_TOL |x| + ABS_TOL imply."""
+    count = old["count"]
+    norm_slack = REL_TOL * old["frobenius"] + ABS_TOL * math.sqrt(count)
+    # every weight is below 2, and sum |x| <= sqrt(count) ||x||
+    sum_slack = 2.0 * (REL_TOL * math.sqrt(count) * old["frobenius"] + ABS_TOL * count)
+    return (
+        new["count"] == count
+        and abs(new["frobenius"] - old["frobenius"]) <= norm_slack
+        and abs(new["weighted"] - old["weighted"]) <= sum_slack
+    )
+
+
+def compare(new: dict, old: dict) -> list[str]:
+    """Where manifest ``new`` differs from ``old``, one line each."""
+    problems = []
+    if list(new["runs"]) != list(old["runs"]):
+        problems.append(f"runs differ: {sorted(set(new['runs']) ^ set(old['runs']))}")
+    for name, run in old["runs"].items():
+        other = new["runs"].get(name)
+        if other is None:
+            continue
+        if other["exit"] != run["exit"]:
+            problems.append(f"{name}: exit {other['exit']}, was {run['exit']}")
+        if list(other["files"]) != list(run["files"]):
+            problems.append(f"{name}: files {list(other['files'])}, were {list(run['files'])}")
+            continue
+        for path, kept in run["files"].items():
+            got = other["files"][path]
+            if got.keys() != kept.keys():
+                problems.append(f"{path}: kept as {sorted(got)}, was {sorted(kept)}")
+            elif "sha256" in kept:
+                if got["sha256"] != kept["sha256"]:
+                    problems.append(f"{path}: bytes differ")
+            elif got["skeleton_sha256"] != kept["skeleton_sha256"]:
+                problems.append(f"{path}: JSON apart from its floats differs")
+            elif len(got["numbers"]) != len(kept["numbers"]):
+                problems.append(f"{path}: {len(got['numbers'])} numbers, were {len(kept['numbers'])}")
+            else:
+                for k, (a, b) in enumerate(zip(got["numbers"], kept["numbers"])):
+                    if isinstance(b, dict):
+                        same = isinstance(a, dict) and _close_matrix(a, b)
+                    else:
+                        same = abs(a - b) <= REL_TOL * abs(b) + ABS_TOL
+                    if not same:
+                        problems.append(f"{path}: number {k} is {a!r}, was {b!r}")
+    return problems
 
 
 def build(corpus: Corpus) -> None:
@@ -261,6 +445,8 @@ def main(argv=None) -> int:
     corpus = Corpus(out_dir)
     build(corpus)
     corpus.finish()
+    manifest = json.dumps(corpus.manifest(), indent=1) + "\n"
+    (out_dir / "manifest.json").write_text(manifest, encoding="utf-8")
     return 0
 
 
