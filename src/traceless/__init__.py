@@ -9,8 +9,8 @@ The toolkit has three layers:
   (:mod:`traceless.witness`);
 * the decomposition engine that writes any element as a sum of n commutators
   through the transfer map phi(a) = sum b_i a b_i* and its Neumann inverse
-  (:mod:`traceless.decompose`), plus distance-to-commutators estimates and
-  trace certificates (:mod:`traceless.tracedist`).
+  (:mod:`traceless.decompose`), plus two-sided bounds on the distance from
+  1 to a span of commutators (:mod:`traceless.tracedist`).
 """
 
 from .errors import (

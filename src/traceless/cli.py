@@ -8,13 +8,16 @@ be chained.
 
 Exit codes: 0 success, 2 validation failures (invalid witness, trace
 obstruction, and other domain errors, with the diagnostic report still
-emitted), 1 I/O or parse errors.
+emitted), 1 I/O or parse errors.  A flag value that argparse refuses, a
+non-finite ``--tol`` or ``--eps`` among them, exits 2 with its usage
+message on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -60,6 +63,18 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level is not a JSON object")
     return data
+
+
+def _finite_float(text: str) -> float:
+    """A float option's value; argparse refuses NaN and infinities, as it
+    refuses text that is not a number, with a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
 
 
 def _cmd_eval(args):
@@ -214,26 +229,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "--toeplitz-candidates", type=int, default=None, help="emit the raw J-family candidates"
     )
     p.add_argument("--depth", type=int, default=None, help="realize on a Fock truncation")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_witness_gen)
 
     p = sub.add_parser("witness-check", help="recompute and validate a witness report")
     p.add_argument("witness", help="witness JSON file")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.set_defaults(func=_cmd_witness_check)
 
     p = sub.add_parser("witness-build", help="construct a witness from candidates")
     p.add_argument("--candidates", default=None, help="candidates JSON file")
     p.add_argument("--toeplitz", type=int, default=None, help="use the built-in J-family")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_witness_build)
 
     p = sub.add_parser("decompose", help="write an element as a sum of commutators")
     p.add_argument("--a", required=True, help="element JSON file (matrix)")
     p.add_argument("--witness", required=True, help="witness JSON file")
-    p.add_argument("--eps", type=float, default=1e-10)
+    p.add_argument("--eps", type=_finite_float, default=1e-10)
     p.add_argument("--solver", choices=("neumann", "direct"), default="neumann")
     p.add_argument("--depth", type=int, default=None, help="evaluate a symbolic witness first")
     p.add_argument("--positive", action="store_true", help="use self-adjoint commutator pairs")
@@ -248,7 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="distance from 1 to a commutator span")
     p.add_argument("--family", required=True, help='family JSON file {"generators": [...]}')
-    p.add_argument("--dim", type=int, default=None, help="dimension for an empty family")
+    p.add_argument(
+        "--dim", type=int, default=None, help="dimension for an empty family; else the generators'"
+    )
     p.add_argument("--polish", type=int, default=200, help="at most this many operator-norm polish steps")
     p.add_argument(
         "--interior-length", type=int, default=None, help="compress to words of length <= K"

@@ -9,11 +9,11 @@ span of this particular family.
 
 The lower bound is the dual side.  For a Hermitian rho with
 tr(rho c_i) = 0 for every i, Hoelder's inequality with the trace norm gives
-||1 - sum t_i c_i|| >= |tr(rho)| / ||rho||_1 for every t.  In a matrix
-algebra rho = 1 is such a functional, the trace, and pins the distance at
-1.  Compressing the family to a truncation interior removes the trace
-constraint and lets the residual drop below 1, which is how the finite
-picture reflects algebras without tracial states.
+||1 - sum t_i c_i|| >= |tr(rho)| / ||rho||_1 for every t.  The Frobenius
+residual of 1 is such a rho; in a matrix algebra it is 1 itself, the
+trace, and pins the distance at 1.  Compressing the family to a truncation
+interior removes the trace constraint and lets the residual drop below 1,
+which is how the finite picture reflects algebras without tracial states.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "commutator_span_family",
     "commutator_distance",
 ]
-
-GRAM_REGULARIZATION = 1e-12
 
 # polishing stops once upper - lower <= BRACKET_TOL * upper
 BRACKET_TOL = 1e-12
@@ -79,16 +77,20 @@ class DistanceEstimate:
 
 
 def commutator_span_family(generators, dim: int | None = None) -> CommutatorSpanFamily:
-    """Derive the span elements; ``dim`` is only needed for an empty family."""
+    """Derive the span elements of generators on one basis (ValueError for
+    different basis labels); ``dim`` is needed for an empty family, and
+    otherwise must be the generators' dimension."""
     generators = tuple(generators)
     if not generators:
         if dim is None:
             raise EmptyFamily("empty family needs an explicit dimension")
         return CommutatorSpanFamily((), (), dim)
-    d = generators[0].dim
+    d = generators[0].dim if dim is None else dim
     for a in generators:
         if a.dim != d:
             raise DimensionMismatch(f"dim {a.dim} vs {d}")
+        if a.basis_labels != generators[0].basis_labels:
+            raise ValueError("generators have different basis labels")
     span = []
     for a in generators:
         star, rng = star_sums((a,))
@@ -105,28 +107,35 @@ def _minus_span(x: np.ndarray, t, span) -> np.ndarray:
 
 
 class _Dual:
-    """Dual bounds |tr(rho)| / ||rho||_1 from Hermitian seeds projected off the span."""
+    """The Frobenius projection onto the span, and dual bounds |tr(rho)| / ||rho||_1
+    from Hermitian rho that it leaves orthogonal to the span."""
 
-    def __init__(self, span: list[np.ndarray], gram: np.ndarray):
+    def __init__(self, span: list[np.ndarray]):
         self.span = span
-        self.gram = gram
-        self.span_norms = np.sqrt(np.diag(gram))
+        self.gram = np.array([[np.vdot(c, e).real for e in span] for c in span])
+        self.span_norms = np.sqrt(np.diag(self.gram))
 
     def inner(self, x: np.ndarray) -> np.ndarray:
         """tr(c_i x) for each i, for a Hermitian x."""
         return np.array([np.vdot(c, x).real for c in self.span])
 
-    def bound(self, seed: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """(bound, rho) for the seed minus its Frobenius projection, (0.0, None)
-        when the result is not feasible to FEASIBILITY_TOL or is rounding."""
-        rho = seed
-        # a least-squares solve, which stays exact on the span when the Gram
-        # matrix is singular; the second pass removes what rounding left
+    def project(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(t, x - sum t_i c_i) for the Frobenius projection sum t_i c_i of x:
+        a least-squares solve, which stays exact on the span when the Gram
+        matrix is singular; a second pass removes what rounding left."""
+        t = np.zeros(len(self.span))
         for _ in range(2):
-            coeffs = np.linalg.lstsq(self.gram, self.inner(rho), rcond=None)[0]
-            rho = _minus_span(rho, coeffs, self.span)
+            coeffs = np.linalg.lstsq(self.gram, self.inner(x), rcond=None)[0]
+            x = _minus_span(x, coeffs, self.span)
+            t += coeffs
+        return t, x
+
+    def bound(self, rho: np.ndarray, seed_norm: float) -> tuple[float, np.ndarray | None]:
+        """(bound, rho) for a ``project``ed rho, (0.0, None) when it is not
+        feasible to FEASIBILITY_TOL or is rounding of a seed of Frobenius
+        norm ``seed_norm``."""
         trace_norm = float(np.abs(np.linalg.eigvalsh(rho)).sum())
-        if trace_norm <= ROUNDING_LEVEL * frobenius_norm(seed):
+        if trace_norm <= ROUNDING_LEVEL * seed_norm:
             return 0.0, None
         if np.any(np.abs(self.inner(rho)) > FEASIBILITY_TOL * trace_norm * self.span_norms):
             return 0.0, None
@@ -143,13 +152,15 @@ def commutator_distance(
 ) -> DistanceEstimate:
     """Bracket dist(1, span{c_i}) between a dual lower and a primal upper bound.
 
-    Solves the Frobenius least-squares projection (Gram matrix regularized
-    by 1e-12), then runs at most ``polish_steps`` Polyak subgradient steps
+    Projects 1 onto the span in the Frobenius inner product, by a
+    least-squares solve that stays exact when the Gram matrix is singular,
+    then runs at most ``polish_steps`` Polyak subgradient steps
     (f - lower) / ||g||^2 on the operator-norm objective, keeping the best
     iterate.  The residual is Hermitian, so each iterate costs one ``eigh``,
     whose eigenvalue of largest modulus and its eigenvector u give both the
     objective and the subgradient +-u u*.  The lower bound comes from the
-    seed rho = 1 and from the running average of the subgradients, tried
+    Frobenius residual itself, the seed 1 projected off the span, and from
+    the running average of the subgradients projected the same way, tried
     every ``DUAL_EVERY`` steps.  Polishing stops early once the two bounds
     agree to ``BRACKET_TOL``, which the unmasked problem does at once: there
     tr(c_i) = 0, so the projection is t = 0 and rho = 1 certifies 1.  With
@@ -168,22 +179,10 @@ def commutator_distance(
     if not span:
         return DistanceEstimate((), frobenius_norm(target), op_norm(target), 1.0, target)
 
-    m = len(span)
-    gram = np.zeros((m, m))
-    rhs = np.zeros(m)
-    for j in range(m):
-        rhs[j] = float(np.trace(span[j].conj().T @ target).real)
-        for k in range(j, m):
-            inner = float(np.trace(span[j].conj().T @ span[k]).real)
-            gram[j, k] = inner
-            gram[k, j] = inner
-    coeffs = np.linalg.solve(gram + GRAM_REGULARIZATION * np.eye(m), rhs)
-    dual = _Dual(span, gram)
-    lower, rho = dual.bound(target)
-
-    t = coeffs
-    residual = _minus_span(target, t, span)
+    dual = _Dual(span)
+    t, residual = dual.project(target)
     frob = frobenius_norm(residual)
+    lower, rho = dual.bound(residual, frobenius_norm(target))
     best_t, best_op = t, math.inf
     average = np.zeros_like(target)
     for step in itertools.count(1):
@@ -198,7 +197,8 @@ def commutator_distance(
         subgradient = math.copysign(1.0, w[top]) * np.outer(u, u.conj())
         average += (subgradient - average) / step
         if step % DUAL_EVERY == 0:
-            candidate, candidate_rho = dual.bound(average)
+            _, projected = dual.project(average)
+            candidate, candidate_rho = dual.bound(projected, frobenius_norm(average))
             if candidate > lower:
                 lower, rho = candidate, candidate_rho
         grad = -dual.inner(subgradient)

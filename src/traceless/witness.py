@@ -126,7 +126,8 @@ class CandidateFamily:
 
 def _family(elements, symbolic: bool | None = None) -> tuple:
     """A non-empty family of StarPolynomials (symbolic) or of Operators, with a
-    common generator count or dimension; by default of the first element's kind."""
+    common generator count or dimension and basis labels (ValueError if they
+    differ); by default of the first element's kind."""
     family = tuple(elements)
     if not family:
         raise EmptyFamily("family contains no elements")
@@ -140,6 +141,8 @@ def _family(elements, symbolic: bool | None = None) -> tuple:
             raise GeneratorMismatch(f"{b.n} generators vs {family[0].n}")
         if not symbolic and b.dim != family[0].dim:
             raise DimensionMismatch(f"dim {b.dim} vs {family[0].dim}")
+        if not symbolic and b.basis_labels != family[0].basis_labels:
+            raise ValueError("family elements have different basis labels")
     return family
 
 

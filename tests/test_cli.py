@@ -333,6 +333,65 @@ def test_dist_command(tmp_path, capsys):
     assert envelope["result"]["opnorm_residual"] <= 0.5 + 1e-6
 
 
+def _family_file(tmp_path, generators):
+    ffile = tmp_path / "family.json"
+    ffile.write_text(dumps({"generators": [matrix_to_json(a) for a in generators]}))
+    return str(ffile)
+
+
+def test_dist_generators_with_different_labels_are_an_input_error(tmp_path, capsys):
+    labels = fock_truncation(2, 2).labels
+    rng = np.random.default_rng(85)
+    generators = [random_operator(rng, 7, labels), random_operator(rng, 7, labels[::-1])]
+    code, envelope, _ = run_cli(capsys, "dist", "--family", _family_file(tmp_path, generators))
+    assert code == 1
+    assert envelope["error"]["code"] == "input-error"
+    assert "labels" in envelope["error"]["message"]
+
+
+def test_dist_dim_other_than_the_generators_is_a_dimension_mismatch(tmp_path, capsys):
+    rng = np.random.default_rng(86)
+    ffile = _family_file(tmp_path, [random_operator(rng, 5) for _ in range(2)])
+    code, envelope, _ = run_cli(capsys, "dist", "--family", ffile, "--dim", "3")
+    assert code == 2
+    assert envelope["error"]["code"] == "dimension-mismatch"
+    code, envelope, _ = run_cli(capsys, "dist", "--family", ffile, "--dim", "5")
+    assert code == 0
+    assert envelope["config"]["dim"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("decompose", "--a", "a.json", "--witness", "w.json", "--eps", "nan"), "nan"),
+        (("decompose", "--a", "a.json", "--witness", "w.json", "--eps=-inf"), "-inf"),
+        (("witness-check", "w.json", "--tol", "nan"), "nan"),
+        (("witness-gen", "--standard", "2", "--tol", "inf"), "inf"),
+        (("witness-build", "--toeplitz", "2", "--tol", "nan"), "nan"),
+        (("decompose", "--a", "a.json", "--witness", "w.json", "--eps", "abc"), "abc"),
+    ],
+)
+def test_a_non_finite_float_option_is_a_usage_error(capsys, argv, value):
+    # refused by argparse before any file is read, as text that is not a number is
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid finite float value: {value!r}" in captured.err
+
+
+def test_witness_elements_with_different_labels_are_an_input_error(tmp_path, capsys):
+    wfile = _standard_witness_file(tmp_path, capsys)
+    witness = json.loads(wfile.read_text())
+    witness["elements"][1]["labels"].reverse()
+    wfile.write_text(dumps(witness))
+    code, envelope, _ = run_cli(capsys, "witness-check", str(wfile))
+    assert code == 1
+    assert envelope["error"]["code"] == "input-error"
+    assert "labels" in envelope["error"]["message"]
+
+
 def test_reports_are_byte_identical(capsys):
     _, _, first = run_cli(capsys, "witness-gen", "--toeplitz", "2", "--depth", "5")
     _, _, second = run_cli(capsys, "witness-gen", "--toeplitz", "2", "--depth", "5")

@@ -136,6 +136,19 @@ def test_dimension_mismatch():
     rng = np.random.default_rng(45)
     with pytest.raises(DimensionMismatch):
         commutator_span_family([random_operator(rng, 3), random_operator(rng, 4)])
+    with pytest.raises(DimensionMismatch):
+        commutator_span_family([random_operator(rng, 3)], dim=4)
+
+
+@pytest.mark.parametrize("seed", [5, 9, 22, 39, 41, 62])
+def test_rank_deficient_span_at_a_large_scale_is_bracketed(seed):
+    # four span elements in the 3-dimensional space of trace-free Hermitian
+    # 2 x 2 matrices: a singular Gram matrix with entries up to about 1e13
+    rng = np.random.default_rng(seed)
+    family = commutator_span_family([600 * random_operator(rng, 2) for _ in range(4)])
+    estimate = commutator_distance(family)
+    check_bracket(estimate, compressed_span(family, None))
+    assert estimate.lower_bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lower_bound_functional_is_the_trace():
@@ -189,6 +202,8 @@ def test_lower_bound_is_below_the_upper_bound(problem):
     check_bracket(estimate, compressed_span(family, mask))
     if mask is None:
         assert estimate.lower_bound == pytest.approx(1.0, abs=1e-12)
+        # the projected seed 1 is both the start point and the kept rho
+        assert estimate.frobenius_residual == np.linalg.norm(estimate.rho)
 
 
 def test_one_in_the_span_gives_no_lower_bound_from_rounding():

@@ -434,6 +434,30 @@ def build(corpus: Corpus) -> None:
     run("dist", "dist", "--family", "family.json", "--out", "dist.json")
     run("dist-interior", "dist", "--family", "family.json", "--interior-length", "2")
 
+    # non-finite float options are usage errors, a family's elements share one
+    # basis, --dim must agree with the generators, and a rank-deficient Gram
+    # matrix still gives a distance
+    run("decompose-eps-nan", "decompose", "--a", "a-d3.json", "--witness", "w-standard-d3.json",
+        "--eps", "nan")
+    run("check-tol-inf", "witness-check", "w-standard.json", "--tol", "inf")
+    labels_differ = load("w-standard-d3.json")
+    labels_differ["elements"][1]["labels"].reverse()
+    write("w-labels-differ.json", labels_differ)
+    run("check-labels-differ", "witness-check", "w-labels-differ.json")
+    write("family-labels-differ.json",
+          {"generators": [load("eval-d3.json"), load("a-d3-labels-reversed.json")]})
+    run("dist-labels-differ", "dist", "--family", "family-labels-differ.json")
+    run("dist-dim-mismatch", "dist", "--family", "family.json", "--dim", "3")
+    rng = np.random.default_rng(5)
+    generators = []
+    for _ in range(4):
+        entries = 600.0 * np.stack(
+            (rng.standard_normal((2, 2)), rng.standard_normal((2, 2))), axis=-1
+        )
+        generators.append({"dim": 2, "entries": entries.tolist()})
+    write("family-rank-deficient.json", {"generators": generators})
+    run("dist-rank-deficient", "dist", "--family", "family-rank-deficient.json")
+
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
