@@ -9,8 +9,8 @@ be chained.
 Exit codes: 0 success, 2 validation failures (invalid witness, trace
 obstruction, and other domain errors, with the diagnostic report still
 emitted), 1 I/O or parse errors.  A flag value that argparse refuses, a
-non-finite ``--tol`` or ``--eps`` among them, exits 2 with its usage
-message on stderr and nothing on stdout.
+non-finite ``--tol`` or ``--eps`` and a ``--eps`` that is not positive among
+them, exits 2 with its usage message on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """A finite float option's value that must also be positive; argparse
+    refuses zero and negatives with a usage error (exit 2)."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"invalid positive float value: {text!r}")
     return value
 
 
@@ -167,7 +176,12 @@ def _cmd_decompose(args):
         result = decompose_positive(a, witness, eps=args.eps, solver=args.solver)
     else:
         result = decompose_element(a, witness, eps=args.eps, solver=args.solver)
-    report = verify_decomposition(a, result.pairs, _interior(a, witness.degree))
+    # a carries the witness's labels whenever the witness has any, so its
+    # interior is the witness's; only an unlabelled witness leaves a's own
+    mask = witness.interior_mask
+    if mask is None:
+        mask = _interior(a, witness.degree)
+    report = verify_decomposition(a, result.pairs, mask)
     artifact = decomposition_to_json(result, report, a=a)
     if witness.degree is not None:
         artifact["interior_degree"] = witness.degree
@@ -248,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="write an element as a sum of commutators")
     p.add_argument("--a", required=True, help="element JSON file (matrix)")
     p.add_argument("--witness", required=True, help="witness JSON file")
-    p.add_argument("--eps", type=_finite_float, default=1e-10)
+    p.add_argument("--eps", type=_positive_float, default=1e-10)
     p.add_argument("--solver", choices=("neumann", "direct"), default="neumann")
     p.add_argument("--depth", type=int, default=None, help="evaluate a symbolic witness first")
     p.add_argument("--positive", action="store_true", help="use self-adjoint commutator pairs")

@@ -272,12 +272,31 @@ def star_sums(family) -> tuple:
     """(sum_i b_i* b_i, sum_i b_i b_i*), summed in index order.
 
     Written in the operator syntax shared by StarPolynomial and Operator, so
-    one call serves a symbolic or a matrix family.
+    one call serves a symbolic or a matrix family.  A matrix family whose
+    every element is a weighted partial map b = sum_k v_k |r_k><c_k|
+    (``Operator.partial_map``) takes O(d^2) scatters in place of products:
+    b* b = sum_k |v_k|^2 |c_k><c_k| is diagonal, and so is
+    b b* = sum_k |v_k|^2 |r_k><r_k| when b's columns are distinct.  An
+    element with a repeated column forms its b b* densely.
     """
     family = tuple(family)
-    sum_star = functools.reduce(operator.add, (b.adjoint() @ b for b in family))
-    sum_range = functools.reduce(operator.add, (b @ b.adjoint() for b in family))
-    return sum_star, sum_range
+    forms = [None if isinstance(b, StarPolynomial) else b.partial_map for b in family]
+    if any(form is None for form in forms) or len({b.dim for b in family}) > 1:
+        sum_star = functools.reduce(operator.add, (b.adjoint() @ b for b in family))
+        sum_range = functools.reduce(operator.add, (b @ b.adjoint() for b in family))
+        return sum_star, sum_range
+    dim = family[0].dim
+    star = np.zeros(dim)
+    sum_range = np.zeros((dim, dim), dtype=complex)
+    for b, (rows, cols, vals) in zip(family, forms):
+        weights = (vals.conj() * vals).real
+        np.add.at(star, cols, weights)
+        if np.bincount(cols).max(initial=0) <= 1:
+            sum_range[rows, rows] += weights
+        else:
+            sum_range += b.entries @ b.entries.conj().T
+    labels = family[0].basis_labels
+    return Operator(np.diag(star), labels), Operator(sum_range, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,13 @@ nilpotent truncation (the standard witness at depth L) it stops at the first
 zero term, K = L + 1, with tail 0.0.
 
 Decomposing and verifying are separate steps: a result holds no residual,
-and ``verify_decomposition`` alone forms a - sum_i [x_i, y_i], densely from
-the pairs, sharing no code with the engine it checks.
+and ``verify_decomposition`` alone forms a - sum_i [x_i, y_i] from the pairs,
+sharing no code with the engine it checks.  It chooses each product from
+the pair's own operands: a partial-map left factor makes it a row gather, a
+partial-map right factor with distinct columns a column scatter, each
+O(d^2), so both products of a standard pair (x = b*) cost O(d^2).  Any other
+product is dense.  What remains is one SVD of the residual and one of its
+interior block.
 """
 
 from __future__ import annotations
@@ -166,9 +171,11 @@ def solve_psi_neumann(
     tail_K) at the first K with tail_K <= eps.  The first argument of the min
     caps K at the a-priori count for ||a||_F; the second stops at the first
     exactly zero term of a nilpotent phi with tail 0.0.  phi is applied
-    exactly K times.  Raises MaxIterExceeded, before applying phi, if the
-    a-priori count exceeds MAX_NEUMANN_ITERATIONS.
+    exactly K times.  Raises ValueError unless eps > 0, and MaxIterExceeded,
+    before applying phi, if the a-priori count exceeds MAX_NEUMANN_ITERATIONS.
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     eta = witness.report.eta2
     if eta >= 1.0:
         raise NotContractive(f"eta2 = {eta!r} >= 1")
@@ -277,9 +284,10 @@ def verify_decomposition(a, pairs, interior_mask: np.ndarray | None = None) -> V
     """Recompute a - sum_i [x_i, y_i] from the pairs alone and report its norms.
 
     The matrix sum accumulates in one array, adding x y and subtracting y x
-    pair by pair in index order.  For matrices also reports |trace(sum
-    contributions)|: commutators are exactly trace-free, so this measures
-    only rounding.  ``interior_mask`` is a bool vector of length a.dim
+    pair by pair in index order; ``_accumulate`` forms a product with a
+    partial-map factor by a gather or a scatter and any other densely.  For
+    matrices also reports |trace(sum contributions)|: commutators are exactly
+    trace-free, so this measures only rounding.  ``interior_mask`` is a bool vector of length a.dim
     (``WitnessFamily.interior_mask``); the interior norm is that of the
     residual on the basis vectors it keeps.  For symbolic input the residual
     is an exact normal form and the trace defect is None.  Elements of mixed
@@ -300,11 +308,38 @@ def verify_decomposition(a, pairs, interior_mask: np.ndarray | None = None) -> V
     for pair in pairs:
         if pair.x.dim != a.dim or pair.y.dim != a.dim:
             raise DimensionMismatch("pair dimension differs from the target element")
-        total += pair.x.entries @ pair.y.entries
-        total -= pair.y.entries @ pair.x.entries
-    residual = a.entries - total
+        _accumulate(total, np.add, pair.x, pair.y)
+        _accumulate(total, np.subtract, pair.y, pair.x)
+    trace_defect = float(abs(np.trace(total)))
+    residual = np.subtract(a.entries, total, out=total)
     norm = interior = op_norm(residual)
     if interior_mask is not None:
         keep = interior_indices(interior_mask, a.dim)
         interior = op_norm(residual[np.ix_(keep, keep)])
-    return VerificationReport(norm, interior, float(abs(np.trace(total))))
+    return VerificationReport(norm, interior, trace_defect)
+
+
+def _accumulate(total: np.ndarray, ufunc, left: Operator, right: Operator) -> None:
+    """total = ufunc(total, left @ right), in place.
+
+    With left a partial map p = sum_k v_k |r_k><c_k|, row r_k of p m is
+    v_k m[c_k], a row gather.  With right such a p whose columns are distinct,
+    column c_k of m p is m[:, r_k] v_k, a column scatter.  Each is O(d^2),
+    and each entry is one product, as in the dense product, where the other
+    terms are zeros.  With repeated columns an entry of m p sums several
+    products, so that product stays dense, as does any other, O(d^3)."""
+    form = left.partial_map
+    if form is not None:
+        rows, cols, vals = form
+        block = right.entries[cols]
+        block *= vals[:, None]
+        ufunc.at(total, rows, block)
+        return
+    form = right.partial_map
+    if form is not None and np.bincount(form[1]).max(initial=0) <= 1:
+        rows, cols, vals = form
+        block = left.entries[:, rows]
+        block *= vals
+        ufunc.at(total, (slice(None), cols), block)
+        return
+    ufunc(total, left.entries @ right.entries, out=total)

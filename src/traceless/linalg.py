@@ -136,12 +136,22 @@ def _entries(x) -> np.ndarray:
 def op_norm(x: Operator | np.ndarray) -> float:
     """Operator (spectral) norm: the largest singular value.
 
-    Returns 0.0 for the zero matrix.  Deterministic for a fixed input.
+    A matrix, square or not, with at most one nonzero in every row and every
+    column is a weighted partial permutation: its singular values are exactly
+    the moduli of its nonzeros, so the norm is the largest modulus, found in
+    O(size) with no SVD (0.0 for the zero matrix).  Diagonal matrices, such as
+    the sums b* b of partial-map witness elements, take this path.  Any other
+    matrix takes an SVD.  Deterministic for a fixed input.
     """
     a = _entries(x)
-    if not np.any(a):
-        return 0.0
+    nonzero = a != 0
+    if _at_most_one(nonzero, axis=1) and _at_most_one(nonzero, axis=0):
+        return float(np.abs(a[nonzero]).max(initial=0.0))
     return float(np.linalg.norm(a, 2))
+
+
+def _at_most_one(nonzero: np.ndarray, axis: int) -> bool:
+    return int(np.count_nonzero(nonzero, axis=axis).max(initial=0)) <= 1
 
 
 def frobenius_norm(x: Operator | np.ndarray) -> float:

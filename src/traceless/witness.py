@@ -19,6 +19,14 @@ norm is ``cuntz.symbolic_norm``: exact when the element is diagonal in the
 word basis, else an upper bound, never the lower bound that a Fock
 truncation gives.
 
+A matrix check costs O(n d^2) and takes no SVD when every element is a
+weighted partial map (``Operator.partial_map``), as every shipped witness
+is: ``cuntz.star_sums`` scatters sum b_i* b_i onto the diagonal, and
+sum b_i b_i* too where no element repeats a column, and ``op_norm`` of a
+matrix with at most one nonzero per row and column (the defect, its
+interior columns, a diagonal sum) is its largest modulus.  Any other family
+takes dense products and SVDs, O(n d^3).
+
 ``build_witness`` runs the constructive route from candidate elements
 a_1..a_m with t0 = ||1 - sum(a_i* a_i - a_i a_i*)|| < 1: append
 a_{m+1} = (k - sum a_i* a_i)^(1/2) for k = ||sum a_i* a_i|| and rescale by

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from traceless import Operator, fock_truncation, identity, parse_star_poly
+from traceless import Operator, cuntz, fock_truncation, identity, parse_star_poly
 from traceless.cli import main
 from traceless.serialization import dumps, matrix_to_json, poly_to_json
 from traceless.witness import toeplitz_candidate_family
@@ -269,6 +269,31 @@ def test_a_labelled_element_with_an_unlabelled_witness_agrees_with_verify(tmp_pa
         assert verdict[key] == report[key]
 
 
+@pytest.mark.parametrize("witness_labels", [True, False])
+def test_decompose_derives_one_interior(tmp_path, capsys, monkeypatch, witness_labels):
+    """The witness's interior, or a's own when the witness has no labels."""
+    wfile = _standard_witness_file(tmp_path, capsys)
+    if not witness_labels:
+        witness = json.loads(wfile.read_text())
+        for element in witness["elements"]:
+            del element["labels"]
+        wfile.write_text(json.dumps(witness))
+    a = random_hermitian(np.random.default_rng(84), 7, fock_truncation(2, 2).labels)
+    afile = _matrix_file(tmp_path, "a.json", matrix_to_json(a))
+    calls = []
+    truncation = cuntz.fock_truncation
+
+    def counted(n, depth):
+        calls.append((n, depth))
+        return truncation(n, depth)
+
+    monkeypatch.setattr(cuntz, "fock_truncation", counted)
+    code, envelope, _ = run_cli(capsys, "decompose", "--a", afile, "--witness", str(wfile))
+    assert code == 0
+    assert envelope["result"]["decomposition"]["residual_interior_norm"] <= 1e-8
+    assert calls == [(2, 2)]
+
+
 def test_a_witness_file_that_claims_no_eta2_is_decomposed(tmp_path, capsys):
     wfile = _standard_witness_file(tmp_path, capsys)
     a = random_hermitian(np.random.default_rng(83), 7, fock_truncation(2, 2).labels)
@@ -379,6 +404,16 @@ def test_a_non_finite_float_option_is_a_usage_error(capsys, argv, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"invalid finite float value: {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.0", "-1", "-1e-300"])
+def test_a_non_positive_eps_is_a_usage_error(capsys, eps):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--a", "a.json", "--witness", "w.json", f"--eps={eps}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid positive float value: {eps!r}" in captured.err
 
 
 def test_witness_elements_with_different_labels_are_an_input_error(tmp_path, capsys):

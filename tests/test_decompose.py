@@ -173,6 +173,17 @@ def test_neumann_max_iter():
         solve_psi_neumann(identity(2), w, eps=1e-300)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("witness", ["standard", "toeplitz"])
+def test_neumann_refuses_an_eps_that_is_not_positive(toeplitz_witness_L5, witness, eps):
+    # eps = 0 once gave K = L + 1 with tail 0.0 for the nilpotent standard
+    # witness and MaxIterExceeded for eta2 = 2/3, whose a-priori count stuck
+    # at the smallest subnormal bound
+    w = standard_isometry_witness(2, depth=5) if witness == "standard" else toeplitz_witness_L5
+    with pytest.raises(ValueError, match="eps must be positive"):
+        solve_psi_neumann(identity(w.elements[0].dim), w, eps=eps)
+
+
 # ---------------------------------------------------------------------------
 # direct solver
 # ---------------------------------------------------------------------------

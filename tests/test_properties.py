@@ -19,8 +19,15 @@ from traceless import (
     parse_star_poly,
     poly_to_string,
 )
-from traceless.cuntz import PRUNE_TOL, commutator, equals, interior_for_degree, symbolic_norm
-from traceless.decompose import apply_phi
+from traceless.cuntz import (
+    PRUNE_TOL,
+    commutator,
+    equals,
+    interior_for_degree,
+    star_sums,
+    symbolic_norm,
+)
+from traceless.decompose import CommutatorPair, apply_phi, verify_decomposition
 from traceless.linalg import op_norm
 from traceless.witness import (
     build_witness,
@@ -182,3 +189,85 @@ def test_commutator_sum_is_c_minus_phi_c_on_the_interior_rows(case, seed):
     keep = witness.interior_mask
     assert keep.any() and not keep.all()
     assert np.max(np.abs((lhs - rhs)[keep])) <= 1e-12 * np.max(np.abs(c))
+
+
+# Weighted partial maps (at most one nonzero per row) and dense matrices, for
+# the structured star sums, operator norms and verification.  A "partial"
+# map's columns come from a drawn pool of indices, so a small pool repeats
+# them; a "distinct" one is a weighted partial permutation; a drawn share of
+# either's weights is zero.  Sums of products are compared relative to
+# sum ||x||_F ||y||_F, which bounds every entry of the products.
+STRUCTURED_TOL = 1e-12
+
+
+@st.composite
+def _matrices(draw, dim):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    kind = draw(st.sampled_from(["partial", "distinct", "dense"]))
+    if kind == "dense":
+        parts = rng.standard_normal((2, dim, dim))
+        return Operator(scale * (parts[0] + 1j * parts[1]))
+    vals = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    vals[rng.random(dim) < draw(st.floats(0.0, 1.0))] = 0.0
+    if kind == "distinct":
+        cols = rng.permutation(dim)
+    else:
+        pool = draw(st.integers(1, dim))
+        cols = rng.integers(0, pool, size=dim)
+    entries = np.zeros((dim, dim), dtype=complex)
+    entries[np.arange(dim), cols] = vals
+    return Operator(entries)
+
+
+_families = st.integers(1, 40).flatmap(lambda d: st.lists(_matrices(d), min_size=1, max_size=4))
+
+
+def _frobenius(m) -> float:
+    return float(np.linalg.norm(m.entries))
+
+
+def _assert_close(value, reference, scale):
+    error = np.max(np.abs(np.asarray(value) - reference), initial=0.0)
+    assert error <= STRUCTURED_TOL * max(1.0, scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families)
+def test_star_sums_match_the_dense_products(family):
+    sum_star, sum_range = star_sums(family)
+    scale = sum(_frobenius(b) ** 2 for b in family)
+    _assert_close(sum_star.entries, sum(b.adjoint().entries @ b.entries for b in family), scale)
+    _assert_close(sum_range.entries, sum(b.entries @ b.adjoint().entries for b in family), scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families, st.integers(0, 2**32 - 1))
+def test_op_norm_matches_the_svd_norm(family, seed):
+    sum_star, sum_range = star_sums(family)
+    keep = np.random.default_rng(seed).random(sum_star.dim) < 0.5
+    defect = sum_star.entries - np.eye(sum_star.dim)
+    for m in (*(b.entries for b in family), sum_star.entries, sum_range.entries, defect[:, keep]):
+        reference = np.linalg.norm(m, 2) if m.size else 0.0
+        _assert_close(op_norm(m), reference, reference)
+
+
+def _with_partners(family):
+    partners = st.lists(_matrices(family[0].dim), min_size=len(family), max_size=len(family))
+    return st.tuples(st.just(family), partners, partners)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families.flatmap(_with_partners))
+def test_verified_commutator_sum_matches_the_dense_products(families):
+    """Each family element b gives pairs (b, c) and (e, b) with other drawn
+    matrices c and e, so that x, y, both or neither is a partial map."""
+    pairs = [
+        CommutatorPair(x, y)
+        for b, c, e in zip(*families)
+        for x, y in ((b, c), (e, b))
+    ]
+    reference = sum(p.x.entries @ p.y.entries - p.y.entries @ p.x.entries for p in pairs)
+    report = verify_decomposition(Operator(reference), pairs)
+    scale = sum(_frobenius(p.x) * _frobenius(p.y) for p in pairs)
+    assert report.residual_norm <= STRUCTURED_TOL * max(1.0, scale)

@@ -1,8 +1,11 @@
-"""The transfer map and pair construction against the dense oracle.
+"""The transfer map, pair construction, witness checks and verification
+against the dense oracle.
 
-apply_phi and the pairs take a gather-scatter path for witness elements
-with at most one nonzero per row and the dense product for any other
-element.  Both sides must agree with the raw ``sum b a b*`` of helpers.
+apply_phi, the pairs, ``star_sums`` and ``verify_decomposition`` take a
+gather-scatter path for witness elements with at most one nonzero per row
+and the dense product for any other element.  Both sides must agree with
+the raw dense products: ``sum b a b*`` of helpers, ``sum b* b``,
+``sum b b*``, ``np.linalg.norm(., 2)`` and ``x y - y x``.
 """
 
 import math
@@ -22,7 +25,10 @@ from traceless import (
     fock_truncation,
     parse_star_poly,
     psd_sqrt,
+    verify_decomposition,
 )
+from traceless.cuntz import star_sums
+from traceless.decompose import CommutatorPair
 from traceless.witness import (
     build_witness,
     check_witness,
@@ -54,6 +60,9 @@ def _witness(name):
     if name == "multi-slot":
         # row 1w of s1 + s1 s2* holds two nonzeros; s2 / sqrt(2) is a shift
         return check_witness(_evaluated(["0.5*(s1 + s1 s2*)", f"{1 / math.sqrt(2)}*s2"]))
+    if name == "shared-columns":
+        # s1 s2* and s2 s2* both read word 2w, so b b* couples rows 1w and 2w
+        return check_witness(_evaluated(["0.5*(s1 s2* + s2 s2*)", f"{1 / math.sqrt(2)}*s1"]))
     rng = np.random.default_rng(70)
     return check_witness([0.3 * random_operator(rng, 31) for _ in range(3)])
 
@@ -129,3 +138,74 @@ def test_phi_and_pairs_match_dense_oracle_on_random_normal_forms(polys, seed):
     _assert_matches_oracle(
         check_witness(elements), random_operator(rng, dim), random_operator(rng, dim)
     )
+
+
+FAMILIES = ["standard", "toeplitz", "multi-slot", "dense-random", "shared-columns"]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_witness_report_matches_dense_oracle(name):
+    witness = _witness(name)
+    family = [b.entries for b in witness.elements]
+    sum_star = sum(b.conj().T @ b for b in family)
+    sum_range = sum(b @ b.conj().T for b in family)
+    structured = star_sums(witness.elements)
+    assert _rel_err(structured[0].entries, sum_star) <= RTOL
+    assert _rel_err(structured[1].entries, sum_range) <= RTOL
+    defect = sum_star - np.eye(len(family[0]))
+    report = witness.report
+    assert report.eta1 == pytest.approx(np.linalg.norm(defect, 2), rel=RTOL, abs=RTOL)
+    assert report.eta2 == pytest.approx(np.linalg.norm(sum_range, 2), rel=RTOL)
+    if witness.interior_mask is not None:
+        interior = np.linalg.norm(defect[:, witness.interior_mask], 2)
+        assert report.eta1_interior == pytest.approx(interior, rel=RTOL, abs=RTOL)
+
+
+def test_shared_columns_give_an_off_diagonal_sum_b_b_star():
+    witness = _witness("shared-columns")
+    shared = witness.elements[0]
+    _, cols, _ = shared.partial_map
+    assert len(set(cols.tolist())) < len(cols)
+    sum_range = star_sums(witness.elements)[1].entries
+    assert np.any(sum_range - np.diag(np.diag(sum_range)))
+    assert witness.report.eta2 == pytest.approx(np.linalg.norm(sum_range, 2), rel=RTOL)
+
+
+@pytest.mark.parametrize("name, dense_products", [("multi-slot", 4), ("standard", 0)])
+def test_a_family_with_a_dense_element_takes_the_dense_star_sums(monkeypatch, name, dense_products):
+    elements = _witness(name).elements
+    calls = []
+    product = Operator.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Operator, "__matmul__", counted)
+    sum_star, sum_range = star_sums(elements)
+    assert len(calls) == dense_products
+    family = [b.entries for b in elements]
+    assert _rel_err(sum_star.entries, sum(b.conj().T @ b for b in family)) <= RTOL
+    assert _rel_err(sum_range.entries, sum(b @ b.conj().T for b in family)) <= RTOL
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_verified_residual_matches_dense_oracle(name):
+    """Pairs (b*, b c) from the engine, (b e, b*) with the partial map on the
+    right, and (b, b*), which is partial on both sides for a partial-map b."""
+    witness = _witness(name)
+    rng = np.random.default_rng(73)
+    dim = witness.elements[0].dim
+    c, e = random_operator(rng, dim), random_operator(rng, dim)
+    pairs = list(decompose_element(c, witness, psi=c).pairs)
+    pairs += [CommutatorPair(p.y, p.x) for p in decompose_element(e, witness, psi=e).pairs]
+    pairs += [CommutatorPair(b, b.adjoint()) for b in witness.elements]
+    a = random_operator(rng, dim)
+    commutators = sum(p.x.entries @ p.y.entries - p.y.entries @ p.x.entries for p in pairs)
+    residual = a.entries - commutators
+    keep = np.arange(dim) % 2 == 0
+    report = verify_decomposition(a, pairs, keep)
+    assert report.residual_norm == pytest.approx(np.linalg.norm(residual, 2), rel=RTOL)
+    interior = np.linalg.norm(residual[np.ix_(keep, keep)], 2)
+    assert report.residual_interior_norm == pytest.approx(interior, rel=RTOL)
+    assert report.trace_defect <= 1e-12 * np.linalg.norm(commutators)

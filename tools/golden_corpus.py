@@ -458,6 +458,11 @@ def build(corpus: Corpus) -> None:
     write("family-rank-deficient.json", {"generators": generators})
     run("dist-rank-deficient", "dist", "--family", "family-rank-deficient.json")
 
+    # a --eps that is not positive is a usage error, before any file is read
+    for name, eps in (("decompose-eps-zero", "--eps=0"), ("decompose-eps-negative", "--eps=-1")):
+        run(name, "decompose", "--a", "a-d4.json", "--witness", "w-toeplitz.json",
+            "--depth", "4", eps)
+
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
