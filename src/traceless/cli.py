@@ -305,6 +305,9 @@ def main(argv=None) -> int:
     }
     try:
         code, result, artifact = args.func(args)
+        # opened once the command has succeeded; failing to is an input-error
+        out = None if artifact is None else getattr(args, "out", None)
+        handle = None if out is None else open(out, "w", encoding="utf-8")
     except _PARSE_ERRORS as exc:
         envelope["error"] = {"code": exc.code, "message": str(exc)}
         sys.stdout.write(dumps(envelope))
@@ -321,12 +324,11 @@ def main(argv=None) -> int:
         sys.stdout.write(dumps(envelope))
         return 2
     envelope["result"] = result
-    out = getattr(args, "out", None)
-    if out is None or artifact is None:
+    if handle is None:
         sys.stdout.write(dumps(envelope))
         return code
     # the result embeds the artifact, so its one render serves both
-    with open(out, "w", encoding="utf-8") as handle:
+    with handle:
         dump_envelope(envelope, artifact, sys.stdout, handle)
     return code
 

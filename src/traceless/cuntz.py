@@ -44,7 +44,7 @@ from .errors import (
     StarSyntaxError,
     SymbolicSqrtUnsupported,
 )
-from .linalg import Operator
+from .linalg import Operator, _distinct
 
 __all__ = [
     "Word",
@@ -277,7 +277,7 @@ def star_sums(family) -> tuple:
     (``Operator.partial_map``) takes O(d^2) scatters in place of products:
     b* b = sum_k |v_k|^2 |c_k><c_k| is diagonal, and so is
     b b* = sum_k |v_k|^2 |r_k><r_k| when b's columns are distinct.  An
-    element with a repeated column forms its b b* densely.
+    element with a repeated column forms its b b* as a row gather, O(d^2).
     """
     family = tuple(family)
     forms = [None if isinstance(b, StarPolynomial) else b.partial_map for b in family]
@@ -291,10 +291,10 @@ def star_sums(family) -> tuple:
     for b, (rows, cols, vals) in zip(family, forms):
         weights = (vals.conj() * vals).real
         np.add.at(star, cols, weights)
-        if np.bincount(cols).max(initial=0) <= 1:
+        if _distinct(cols):
             sum_range[rows, rows] += weights
         else:
-            sum_range += b.entries @ b.entries.conj().T
+            sum_range += (b @ b.adjoint()).entries
     labels = family[0].basis_labels
     return Operator(np.diag(star), labels), Operator(sum_range, labels)
 

@@ -33,12 +33,12 @@ zero term, K = L + 1, with tail 0.0.
 
 Decomposing and verifying are separate steps: a result holds no residual,
 and ``verify_decomposition`` alone forms a - sum_i [x_i, y_i] from the pairs,
-sharing no code with the engine it checks.  It chooses each product from
-the pair's own operands: a partial-map left factor makes it a row gather, a
-partial-map right factor with distinct columns a column scatter, each
-O(d^2), so both products of a standard pair (x = b*) cost O(d^2).  Any other
-product is dense.  What remains is one SVD of the residual and one of its
-interior block.
+sharing no code with the engine it checks.  It adds each product in place
+with the kernel of ``Operator @`` (``linalg._accumulate``): a partial-map
+left factor makes it a row gather, a partial-map right factor with distinct
+columns a column scatter, each O(d^2), so both products of a standard pair
+(x = b*) cost O(d^2).  Any other product is dense.  What remains is one SVD
+of the residual and one of its interior block.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .errors import (
     NotPositive,
     SizeLimitExceeded,
 )
-from .linalg import Operator, op_norm, positivity_check, psd_sqrt
+from .linalg import Operator, _accumulate, op_norm, positivity_check, psd_sqrt
 from .witness import WitnessFamily
 
 __all__ = [
@@ -117,11 +117,10 @@ def apply_phi(a, witness: WitnessFamily):
         return functools.reduce(operator.add, (b @ a @ b.adjoint() for b in witness.elements))
     if not isinstance(a, Operator):
         raise TypeError("matrix witness needs an Operator argument")
+    total = np.zeros((a.dim, a.dim), dtype=complex)
     for b in witness.elements:
         if b.dim != a.dim:
             raise DimensionMismatch(f"dim {a.dim} vs witness dim {b.dim}")
-    total = np.zeros((a.dim, a.dim), dtype=complex)
-    for b in witness.elements:
         form = b.partial_map
         if form is None:
             total += b.entries @ a.entries @ b.entries.conj().T
@@ -130,19 +129,6 @@ def apply_phi(a, witness: WitnessFamily):
             block = a.entries[np.ix_(cols, cols)]
             total[np.ix_(rows, rows)] += np.outer(vals, vals.conj()) * block
     return Operator(total, a.basis_labels)
-
-
-def _left_multiply(b, m):
-    """b @ m, as a row gather when b is a partial-map Operator."""
-    form = None if isinstance(b, StarPolynomial) else b.partial_map
-    if form is None:
-        return b @ m
-    if m.dim != b.dim:
-        raise DimensionMismatch(f"dim {b.dim} vs {m.dim}")
-    rows, cols, vals = form
-    out = np.zeros((m.dim, m.dim), dtype=complex)
-    out[rows] = vals[:, None] * m.entries[cols]
-    return Operator(out, b.basis_labels)
 
 
 def _check_iteration_cap(eta: float, norm_a: float, eps: float) -> None:
@@ -221,10 +207,6 @@ def solve_psi_direct(a: Operator, witness: WitnessFamily) -> Operator:
     return Operator(vec.reshape((dim, dim), order="F"), a.basis_labels)
 
 
-def _pairs_standard(witness: WitnessFamily, psi) -> tuple[CommutatorPair, ...]:
-    return tuple(CommutatorPair(b.adjoint(), _left_multiply(b, psi)) for b in witness.elements)
-
-
 def _solve(a, witness, eps, solver):
     if solver == "neumann":
         psi, iterations, tail = solve_psi_neumann(a, witness, eps)
@@ -253,7 +235,8 @@ def decompose_element(
         raise TypeError("symbolic decomposition needs an explicit psi")
     else:
         psi, info = _solve(a, witness, eps, solver)
-    return DecompositionResult(_pairs_standard(witness, psi), psi, info)
+    pairs = tuple(CommutatorPair(b.adjoint(), b @ psi) for b in witness.elements)
+    return DecompositionResult(pairs, psi, info)
 
 
 def decompose_positive(
@@ -273,22 +256,20 @@ def decompose_positive(
         )
     psi, info = _solve(a, witness, eps, solver)
     root = psd_sqrt(psi, tol=1e-9)
-    pairs = []
-    for b in witness.elements:
-        y = _left_multiply(b, root)
-        pairs.append(CommutatorPair(y.adjoint(), y, self_adjoint_form=True))
-    return DecompositionResult(tuple(pairs), psi, info)
+    ys = [b @ root for b in witness.elements]
+    pairs = tuple(CommutatorPair(y.adjoint(), y, self_adjoint_form=True) for y in ys)
+    return DecompositionResult(pairs, psi, info)
 
 
 def verify_decomposition(a, pairs, interior_mask: np.ndarray | None = None) -> VerificationReport:
     """Recompute a - sum_i [x_i, y_i] from the pairs alone and report its norms.
 
     The matrix sum accumulates in one array, adding x y and subtracting y x
-    pair by pair in index order; ``_accumulate`` forms a product with a
-    partial-map factor by a gather or a scatter and any other densely.  For
-    matrices also reports |trace(sum contributions)|: commutators are exactly
-    trace-free, so this measures only rounding.  ``interior_mask`` is a bool vector of length a.dim
-    (``WitnessFamily.interior_mask``); the interior norm is that of the
+    pair by pair in index order, in place with the kernel of ``Operator @``
+    (``linalg._accumulate``).  For matrices also reports
+    |trace(sum contributions)|: commutators are exactly trace-free, so this
+    measures only rounding.  ``interior_mask`` is a bool vector of length
+    a.dim (``WitnessFamily.interior_mask``); the interior norm is that of the
     residual on the basis vectors it keeps.  For symbolic input the residual
     is an exact normal form and the trace defect is None.  Elements of mixed
     types are a TypeError.
@@ -318,28 +299,3 @@ def verify_decomposition(a, pairs, interior_mask: np.ndarray | None = None) -> V
         interior = op_norm(residual[np.ix_(keep, keep)])
     return VerificationReport(norm, interior, trace_defect)
 
-
-def _accumulate(total: np.ndarray, ufunc, left: Operator, right: Operator) -> None:
-    """total = ufunc(total, left @ right), in place.
-
-    With left a partial map p = sum_k v_k |r_k><c_k|, row r_k of p m is
-    v_k m[c_k], a row gather.  With right such a p whose columns are distinct,
-    column c_k of m p is m[:, r_k] v_k, a column scatter.  Each is O(d^2),
-    and each entry is one product, as in the dense product, where the other
-    terms are zeros.  With repeated columns an entry of m p sums several
-    products, so that product stays dense, as does any other, O(d^3)."""
-    form = left.partial_map
-    if form is not None:
-        rows, cols, vals = form
-        block = right.entries[cols]
-        block *= vals[:, None]
-        ufunc.at(total, rows, block)
-        return
-    form = right.partial_map
-    if form is not None and np.bincount(form[1]).max(initial=0) <= 1:
-        rows, cols, vals = form
-        block = left.entries[:, rows]
-        block *= vals
-        ufunc.at(total, (slice(None), cols), block)
-        return
-    ufunc(total, left.entries @ right.entries, out=total)

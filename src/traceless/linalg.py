@@ -1,9 +1,11 @@
-"""Dense complex matrix primitives: norms, adjoints, spectral tools.
+"""Complex matrix primitives: products, norms, adjoints, spectral tools.
 
 Everything downstream (witness checks, the decomposition engine, distance
 estimates) consumes operators through this module.  Operators are immutable
 square complex matrices, optionally tagged with word labels when they come
-from a truncated Fock representation.
+from a truncated Fock representation.  Every product goes through one
+kernel, ``_accumulate``, which multiplies a weighted partial map
+(``Operator.partial_map``) by a gather or a scatter.
 """
 
 from __future__ import annotations
@@ -69,16 +71,7 @@ class Operator:
         is zero, or None when some row holds two or more nonzeros.  Shifts,
         evaluated normal monomials and diagonal operators all have this form.
         """
-        nonzero = self.entries != 0
-        counts = np.count_nonzero(nonzero, axis=1)
-        if np.any(counts > 1):
-            return None
-        rows = np.flatnonzero(counts)
-        cols = np.argmax(nonzero[rows], axis=1)
-        vals = self.entries[rows, cols]
-        for arr in (rows, cols, vals):
-            arr.flags.writeable = False
-        return rows, cols, vals
+        return _partial_map(self.entries)
 
     def adjoint(self) -> "Operator":
         return Operator(self.entries.conj().T, self.basis_labels)
@@ -94,7 +87,11 @@ class Operator:
         return other.entries
 
     def __matmul__(self, other) -> "Operator":
-        return Operator(self.entries @ self._coerce(other), self.basis_labels)
+        """The product (``_accumulate``), with the left factor's labels."""
+        self._coerce(other)
+        total = np.zeros((self.dim, self.dim), dtype=complex)
+        _accumulate(total, np.add, self, other)
+        return Operator(total, self.basis_labels)
 
     def __add__(self, other) -> "Operator":
         return Operator(self.entries + self._coerce(other), self.basis_labels)
@@ -133,50 +130,94 @@ def _entries(x) -> np.ndarray:
     return x.entries if isinstance(x, Operator) else np.asarray(x, dtype=complex)
 
 
+def _partial_map(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``Operator.partial_map`` of a matrix, square or not."""
+    nonzero = a != 0
+    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
+        return None
+    rows, cols = np.nonzero(nonzero)
+    form = rows, cols, a[rows, cols]
+    for arr in form:
+        arr.flags.writeable = False
+    return form
+
+
+def _distinct(cols: np.ndarray) -> bool:
+    # np.unique would import numpy.ma, which stays resident
+    return int(np.bincount(cols).max(initial=0)) <= 1
+
+
+def _accumulate(total: np.ndarray, ufunc, left: Operator, right: Operator) -> None:
+    """total = ufunc(total, left @ right), in place.
+
+    With left a partial map p = sum_k v_k |r_k><c_k|, row r_k of p m is
+    v_k m[c_k], a row gather.  With right such a p whose columns are distinct,
+    column c_k of m p is m[:, r_k] v_k, a column scatter.  Each is O(d^2),
+    and each entry is one product, as in the dense product, where the other
+    terms are zeros.  With repeated columns an entry of m p sums several
+    products, so that product stays dense, as does any other, O(d^3)."""
+    form = left.partial_map
+    if form is not None:
+        rows, cols, vals = form
+        block = right.entries[cols]
+        block *= vals[:, None]
+        total[rows] = ufunc(total[rows], block, out=block)
+        return
+    form = right.partial_map
+    if form is not None and _distinct(form[1]):
+        rows, cols, vals = form
+        block = left.entries[:, rows]
+        block *= vals
+        total[:, cols] = ufunc(total[:, cols], block, out=block)
+        return
+    ufunc(total, left.entries @ right.entries, out=total)
+
+
 def op_norm(x: Operator | np.ndarray) -> float:
     """Operator (spectral) norm: the largest singular value.
 
-    A matrix, square or not, with at most one nonzero in every row and every
-    column is a weighted partial permutation: its singular values are exactly
-    the moduli of its nonzeros, so the norm is the largest modulus, found in
-    O(size) with no SVD (0.0 for the zero matrix).  Diagonal matrices, such as
-    the sums b* b of partial-map witness elements, take this path.  Any other
+    A matrix, square or not, whose ``_partial_map`` has distinct columns is a
+    weighted partial permutation: its singular values are exactly the moduli
+    of its nonzeros, so the norm is the largest modulus, found in O(size)
+    with no SVD (0.0 for the zero matrix).  Diagonal matrices, such as the
+    sums b* b of partial-map witness elements, take this path.  Any other
     matrix takes an SVD.  Deterministic for a fixed input.
     """
     a = _entries(x)
-    nonzero = a != 0
-    if _at_most_one(nonzero, axis=1) and _at_most_one(nonzero, axis=0):
-        return float(np.abs(a[nonzero]).max(initial=0.0))
+    form = _partial_map(a)
+    if form is not None and _distinct(form[1]):
+        return float(np.abs(form[2]).max(initial=0.0))
     return float(np.linalg.norm(a, 2))
-
-
-def _at_most_one(nonzero: np.ndarray, axis: int) -> bool:
-    return int(np.count_nonzero(nonzero, axis=axis).max(initial=0)) <= 1
 
 
 def frobenius_norm(x: Operator | np.ndarray) -> float:
     return float(np.linalg.norm(_entries(x)))
 
 
-def _hermitian_defect(a: np.ndarray) -> float:
-    return op_norm(a - a.conj().T)
+def _hermitian_spectrum(x, tol: float, vectors: bool):
+    """(||x - x*||, the ascending eigenvalues of (x + x*)/2, their
+    eigenvectors or None, tol * max(1, largest |eigenvalue|))."""
+    a = _entries(x)
+    defect = op_norm(a - a.conj().T)
+    h = (a + a.conj().T) / 2
+    w, u = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    return defect, w, u, tol * max(1.0, -float(w[0]), float(w[-1]))
 
 
 def psd_sqrt(x: Operator, tol: float = 1e-9) -> Operator:
     """Positive square root of a positive semidefinite operator.
 
-    Eigenvalues in [-tol, 0) are treated as truncation noise and clamped to
-    zero, so the result y satisfies ||y @ y - x|| <= tol plus rounding.
+    ``tol`` is relative: it is scaled by t = max(1, largest |eigenvalue| of
+    the Hermitian part (x + x*)/2).  Eigenvalues in [-tol t, 0) are treated
+    as truncation noise and clamped to zero, so the result y satisfies
+    ||y @ y - x|| <= tol t plus rounding.
 
-    Raises NotHermitian if ||x - x*|| > tol and NotPositive if the least
-    eigenvalue falls below -tol.
+    Raises NotHermitian if ||x - x*|| > tol t and NotPositive if the least
+    eigenvalue falls below -tol t.
     """
-    a = _entries(x)
-    defect = _hermitian_defect(a)
+    defect, w, u, tol = _hermitian_spectrum(x, tol, vectors=True)
     if defect > tol:
         raise NotHermitian(f"||x - x*|| = {defect:.3e} > tol = {tol:.3e}")
-    h = (a + a.conj().T) / 2
-    w, u = np.linalg.eigh(h)
     if w[0] < -tol:
         raise NotPositive(f"least eigenvalue {w[0]:.3e} < -tol = {-tol:.3e}")
     w = np.clip(w, 0.0, None)
@@ -189,11 +230,11 @@ def psd_sqrt(x: Operator, tol: float = 1e-9) -> Operator:
 def positivity_check(x: Operator, tol: float = 1e-9) -> PositivityReport:
     """Hermiticity and positivity report.
 
-    ``min_eig`` is the least eigenvalue of the Hermitian part (x + x*)/2;
-    ``is_psd`` holds iff x is Hermitian within tol and min_eig >= -tol.
+    ``min_eig`` is the least eigenvalue of the Hermitian part (x + x*)/2.
+    ``tol`` is relative, as in ``psd_sqrt``: with t = max(1, largest
+    |eigenvalue| of (x + x*)/2), ``is_psd`` holds iff ||x - x*|| <= tol t
+    and min_eig >= -tol t.
     """
-    a = _entries(x)
-    is_herm = _hermitian_defect(a) <= tol
-    h = (a + a.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(h)[0])
-    return PositivityReport(is_herm, min_eig, is_herm and min_eig >= -tol)
+    defect, w, _, tol = _hermitian_spectrum(x, tol, vectors=False)
+    min_eig = float(w[0])
+    return PositivityReport(defect <= tol, min_eig, defect <= tol and min_eig >= -tol)

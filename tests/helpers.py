@@ -102,10 +102,17 @@ def coefficient_norm(p: StarPolynomial) -> float:
     return max(abs(c) for c in p._terms.values())
 
 
+def _product(x, y):
+    """x y: numpy's product of the entries for Operators, so that the oracle
+    does not run through ``Operator @``; the normal form's for StarPolynomials."""
+    if isinstance(x, Operator):
+        return Operator(x.entries @ y.entries, x.basis_labels)
+    return x @ y
+
+
 def commutator_residual(a, pairs):
-    """a - sum_i (x_i y_i - y_i x_i), formed with the elements' own products,
-    for Operators and StarPolynomials alike."""
+    """a - sum_i (x_i y_i - y_i x_i), for Operators and StarPolynomials alike."""
     residual = a
     for pair in pairs:
-        residual = residual - (pair.x @ pair.y - pair.y @ pair.x)
+        residual = residual - (_product(pair.x, pair.y) - _product(pair.y, pair.x))
     return residual

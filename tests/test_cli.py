@@ -596,3 +596,14 @@ def test_malformed_file_is_an_input_error(tmp_path, capsys, case):
     assert code == 1
     assert json.loads(captured.out)["error"]["code"] == "input-error"
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+def test_an_out_file_that_cannot_be_opened_is_an_input_error(tmp_path, monkeypatch, capsys, target):
+    monkeypatch.chdir(tmp_path)
+    code, envelope, _ = run_cli(capsys, "eval", "--expr", "s1", "--n", "2", "--out", target)
+    assert code == 1
+    assert envelope["error"]["code"] == "input-error"
+    assert "result" not in envelope
+    assert envelope["config"]["out"] == target
+    assert list(tmp_path.iterdir()) == []

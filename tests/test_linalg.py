@@ -130,3 +130,35 @@ def test_operator_arithmetic_needs_operator_operands():
         for combine in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y):
             with pytest.raises(TypeError):
                 combine(op, other)
+
+
+SCALES = [10.0**k for k in range(11)]
+
+
+def _rank_three_psd(scale):
+    rng = np.random.default_rng(11)
+    g = random_operator(rng, 8).entries[:3]
+    return Operator(scale * (g.conj().T @ g))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_the_positivity_tolerance_is_relative_to_the_norm(scale):
+    # five zero eigenvalues, which rounding at norm ~scale puts near -1e-16 scale
+    x = _rank_three_psd(scale)
+    assert positivity_check(x).is_psd
+    root = psd_sqrt(x)
+    assert op_norm(root @ root - x) <= 1e-9 * op_norm(x)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_a_visible_negative_eigenvalue_or_defect_is_refused_at_every_scale(scale):
+    x = Operator(scale * np.diag([1.0, 0.5, -1e-3]))
+    report = positivity_check(x)
+    assert report.is_hermitian and not report.is_psd
+    assert report.min_eig == pytest.approx(-1e-3 * scale)
+    with pytest.raises(NotPositive):
+        psd_sqrt(x)
+    y = Operator(scale * np.array([[1.0, 1e-3], [0.0, 1.0]]))
+    assert not positivity_check(y).is_hermitian
+    with pytest.raises(NotHermitian):
+        psd_sqrt(y)

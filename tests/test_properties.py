@@ -8,6 +8,7 @@ is exact, so equalities there are exact rather than within a tolerance.
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from traceless.cuntz import (
     symbolic_norm,
 )
 from traceless.decompose import CommutatorPair, apply_phi, verify_decomposition
+from traceless.errors import DimensionMismatch
 from traceless.linalg import op_norm
 from traceless.witness import (
     build_witness,
@@ -250,6 +252,23 @@ def test_op_norm_matches_the_svd_norm(family, seed):
     for m in (*(b.entries for b in family), sum_star.entries, sum_range.entries, defect[:, keep]):
         reference = np.linalg.norm(m, 2) if m.size else 0.0
         _assert_close(op_norm(m), reference, reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda d: st.tuples(_matrices(d), _matrices(d))))
+def test_operator_product_matches_the_dense_product(operands):
+    """Partial maps with distinct or repeated columns and zero weights, and
+    dense operands, on either side: a gather, a scatter or the dense product."""
+    x, y = operands
+    labels = tuple(str(k) for k in range(x.dim))
+    for left, right in ((x, y), (y, x)):
+        product = Operator(left.entries, labels) @ right
+        reference = left.entries @ right.entries
+        _assert_close(product.entries, reference, _frobenius(left) * _frobenius(right))
+        assert product.basis_labels == labels
+        assert (left @ Operator(right.entries, labels)).basis_labels is None
+    with pytest.raises(DimensionMismatch):
+        x @ Operator(np.zeros((x.dim + 1, x.dim + 1)))
 
 
 def _with_partners(family):

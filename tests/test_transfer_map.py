@@ -1,11 +1,13 @@
 """The transfer map, pair construction, witness checks and verification
 against the dense oracle.
 
-apply_phi, the pairs, ``star_sums`` and ``verify_decomposition`` take a
-gather-scatter path for witness elements with at most one nonzero per row
-and the dense product for any other element.  Both sides must agree with
-the raw dense products: ``sum b a b*`` of helpers, ``sum b* b``,
-``sum b b*``, ``np.linalg.norm(., 2)`` and ``x y - y x``.
+``apply_phi`` and ``star_sums`` scatter onto the nonzero-row block of a
+witness element with at most one nonzero per row.  The pairs, a repeated
+column's ``b b*`` and ``verify_decomposition`` go through the one product
+kernel of ``linalg``, which gathers or scatters a partial-map factor.  Any
+other element takes the dense product.  Every path must agree with the raw
+dense products: ``sum b a b*`` of helpers, ``sum b* b``, ``sum b b*``,
+``np.linalg.norm(., 2)`` and ``x y - y x``.
 """
 
 import math

@@ -463,6 +463,27 @@ def build(corpus: Corpus) -> None:
         run(name, "decompose", "--a", "a-d4.json", "--witness", "w-toeplitz.json",
             "--depth", "4", eps)
 
+    # composed products of partial maps with negative and complex scalars: a
+    # signed zero or a last bit that a gather changed shows as a byte change
+    composed = {
+        "negative": "-(s1 + s2)(s1* - s2*)",
+        "complex": "(0-2i)*s1 s2* - s2*",
+        "mixed": "(1.5-0.5i)*(s1 s1 + s2)(s2* s1* - 0.25*s1*) - (0+1i)*s2 s2*",
+    }
+    for name, expr in composed.items():
+        run(f"eval-compose-{name}", "eval", "--expr", expr, "--n", "2", "--depth", "3",
+            "--compose", "--out", f"eval-compose-{name}.json")
+
+    # an --out file that cannot be opened is an input-error
+    run("eval-out-missing-dir", "eval", "--expr", "s1", "--n", "2", "--out", "missing-dir/x.json")
+
+    # the positivity tolerance is relative to the norm: an exactly positive
+    # element of norm about 1e8 is decomposed
+    run("a-positive-1e8-d5", "eval", "--expr", "100000000*(s1 + s2 s1)(s1* + s1* s2*)",
+        "--n", "2", "--depth", "5", "--out", "a-positive-1e8-d5.json")
+    run("decompose-positive-1e8", "decompose", "--a", "a-positive-1e8-d5.json",
+        "--witness", "w-standard-d5.json", "--positive", "--out", "d-positive-1e8.json")
+
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
