@@ -302,49 +302,59 @@ def star_sums(family) -> tuple:
 # ---------------------------------------------------------------------------
 # Expression parser
 #
-# expr   := ['+'|'-'] term (('+'|'-') term)*
-# term   := [scalar '*'] factor+ | scalar
-# factor := 's' digits ['*'] | '1' | '(' expr ')'
-# scalar := float | '(' float ('+'|'-') float 'i' ')'
+# expr    := ['+'|'-'] term (('+'|'-') term)*
+# term    := scalar '*' factor+ | scalar | factor+
+# factor  := 's' digits ['*'] | '1' | complex | '(' expr ')'
+# scalar  := float | complex
+# complex := '(' float ('+'|'-') float 'i' ')'
 #
-# Juxtaposition of factors is the product; a postfix '*' on a generator is
-# the adjoint.  The leading sign is accepted as a convenience.
+# Juxtaposition of factors is the product.  A '*' after a generator is always
+# its adjoint, so "s1 * s2" is s1* s2; a '*' after a leading scalar is the
+# scalar multiple.  At the start of a term a number or a complex scalar is a
+# scalar, except a '1' that no '*' follows, which is the unit factor: "1*s1"
+# and "1 s1" are both s1, while "2 s1" and "(1+2i) s1" are syntax errors.
+# Later in a term a complex scalar is a factor too, as in "s1 (1+2i)".  The
+# leading sign is optional.  Whitespace is ignored, also inside a complex
+# scalar "( a + b i )", which the tokenizer reads as one token, so the
+# parser needs one token of lookahead.
 # ---------------------------------------------------------------------------
 
+_NUMBER = r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+# the "end" and "bad" alternatives make consecutive matches cover the text
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<gen>s\d+)|(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)|(?P<im>i)|(?P<op>[()+\-*]))"
+    rf"\s*(?:(?P<gen>s\d+)|(?P<num>{_NUMBER})"
+    rf"|(?P<complex>\(\s*(?P<re>{_NUMBER})\s*(?P<sign>[+-])\s*(?P<im>{_NUMBER})\s*i\s*\))"
+    r"|(?P<op>[()+\-*i])|(?P<end>\Z)|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str, int, complex | None]]:
+    """(kind, text, position, scalar value) tokens, ending with an "end" token.
+
+    An operator's kind is its text.  A complex scalar is one token of kind
+    "complex" whose text and position are those of its '(', so an error
+    message names it as it names a parenthesis."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            where = len(text) - len(stripped)
-            raise StarSyntaxError(f"unexpected character {text[where]!r}", where)
-        if match.lastgroup == "gen":
-            tokens.append(("gen", match.group("gen"), match.start("gen")))
-        elif match.lastgroup == "num":
-            tokens.append(("num", match.group("num"), match.start("num")))
-        elif match.lastgroup == "im":
-            tokens.append(("im", "i", match.start("im")))
-        else:
-            tokens.append((match.group("op"), match.group("op"), match.start("op")))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise StarSyntaxError(f"unexpected character {match[kind]!r}", match.start(kind))
+        value = None
+        if kind == "num":
+            value = complex(float(match["num"]))
+        elif kind == "complex":
+            value = complex(float(match["re"]), float(match["sign"] + match["im"]))
+        word = "(" if kind == "complex" else match[kind]
+        tokens.append((word if kind == "op" else kind, word, match.start(kind), value))
+        if kind == "end":
+            return tokens
 
 
 class _Parser:
-    """Recursive-descent parser producing a small AST of tuples.
+    """Recursive-descent parser with one token of lookahead, producing a
+    small AST of tuples.
 
-    Nodes: ("scalar", c), ("gen", i), ("adj", node), ("one",),
+    Nodes: ("scalar", c), ("gen", i, position), ("adj", node), ("one",),
            ("mul", [nodes]), ("sum", [(sign, node), ...]).
     """
 
@@ -352,18 +362,12 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self, offset: int = 0):
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.pos]
 
     def advance(self):
         token = self.tokens[self.pos]
         self.pos += 1
-        return token
-
-    def expect(self, kind: str):
-        token = self.advance()
-        if token[0] != kind:
-            raise StarSyntaxError(f"expected {kind!r}, found {token[1]!r}", token[2])
         return token
 
     def parse(self):
@@ -375,90 +379,53 @@ class _Parser:
 
     def parse_expr(self):
         parts = []
-        sign = 1.0
-        if self.peek()[0] in "+-":
-            sign = -1.0 if self.advance()[0] == "-" else 1.0
-        parts.append((sign, self.parse_term()))
-        while self.peek()[0] in "+-":
-            sign = -1.0 if self.advance()[0] == "-" else 1.0
+        while not parts or self.peek()[0] in "+-":  # the first sign is optional
+            sign = 1.0
+            if self.peek()[0] in "+-":
+                sign = -1.0 if self.advance()[0] == "-" else 1.0
             parts.append((sign, self.parse_term()))
         if len(parts) == 1 and parts[0][0] == 1.0:
             return parts[0][1]
         return ("sum", parts)
 
-    def _at_complex_scalar(self) -> bool:
-        if self.peek()[0] != "(":
-            return False
-        kinds = [self.peek(k)[0] for k in range(1, 6)]
-        return (
-            kinds[0] == "num"
-            and kinds[1] in "+-"
-            and kinds[2] == "num"
-            and kinds[3] == "im"
-            and kinds[4] == ")"
-        )
-
-    def _at_scalar(self) -> bool:
-        token = self.peek()
-        if token[0] == "num":
-            # "1" is the unit factor unless written like a scalar multiple "1*..."
-            # or standing alone as a term; both readings denote the same element.
-            return token[1] != "1"
-        return self._at_complex_scalar()
-
-    def parse_scalar(self) -> complex:
-        if self.peek()[0] == "num":
-            return complex(float(self.advance()[1]))
-        self.expect("(")
-        re_tok = self.expect("num")
-        sign_tok = self.advance()
-        if sign_tok[0] not in "+-":
-            raise StarSyntaxError("expected '+' or '-' in complex scalar", sign_tok[2])
-        im_tok = self.expect("num")
-        self.expect("im")
-        self.expect(")")
-        im = float(im_tok[1])
-        if sign_tok[0] == "-":
-            im = -im
-        return complex(float(re_tok[1]), im)
-
     def parse_term(self):
-        scalar = None
-        if self._at_scalar():
-            scalar = self.parse_scalar()
-            if self.peek()[0] == "*":
-                self.advance()
-            else:
-                return ("scalar", scalar)  # bare scalar term
-        factors = [self.parse_factor()]
-        while self.peek()[0] in ("gen", "num", "("):
+        token = self.peek()
+        if token[0] not in ("num", "complex"):
+            return self.parse_product([self.parse_factor()])
+        self.advance()
+        if self.peek()[0] == "*":  # a scalar multiple, "1*" included
+            self.advance()
+            return ("mul", [("scalar", token[3]), self.parse_product([self.parse_factor()])])
+        if token[1] == "1":  # the unit factor
+            return self.parse_product([("one",)])
+        return ("scalar", token[3])  # a bare scalar term
+
+    def parse_product(self, factors: list):
+        """``factors`` followed by every juxtaposed factor; one factor is itself."""
+        while self.peek()[0] in ("gen", "num", "complex", "("):
             factors.append(self.parse_factor())
-        node = factors[0] if len(factors) == 1 else ("mul", factors)
-        if scalar is None:
-            return node
-        return ("mul", [("scalar", scalar), node])
+        return factors[0] if len(factors) == 1 else ("mul", factors)
 
     def parse_factor(self):
-        token = self.peek()
-        if token[0] == "gen":
-            self.advance()
-            index = int(token[1][1:])
-            node = ("gen", index, token[2])
+        token = self.advance()
+        kind = token[0]
+        if kind == "gen":
+            node = ("gen", int(token[1][1:]), token[2])
             if self.peek()[0] == "*":
                 self.advance()
                 return ("adj", node)
             return node
-        if token[0] == "num":
-            if token[1] == "1":
-                self.advance()
-                return ("one",)
+        if kind == "num" and token[1] == "1":
+            return ("one",)
+        if kind == "num":
             raise StarSyntaxError(f"number {token[1]!r} is not a factor", token[2])
-        if token[0] == "(":
-            if self._at_complex_scalar():
-                return ("scalar", self.parse_scalar())
-            self.advance()
+        if kind == "complex":
+            return ("scalar", token[3])
+        if kind == "(":
             node = self.parse_expr()
-            self.expect(")")
+            closing = self.advance()
+            if closing[0] != ")":
+                raise StarSyntaxError(f"expected ')', found {closing[1]!r}", closing[2])
             return node
         raise StarSyntaxError(f"expected a factor, found {token[1]!r}", token[2])
 
@@ -483,12 +450,10 @@ def _interpret(node, one, n: int, generator):
         for factor in node[1]:
             result = result @ _interpret(factor, one, n, generator)
         return result
-    if kind == "sum":
-        total = 0 * one
-        for sign, part in node[1]:
-            total = total + sign * _interpret(part, one, n, generator)
-        return total
-    raise ValueError(f"unknown AST node {kind!r}")
+    total = 0 * one  # a "sum"
+    for sign, part in node[1]:
+        total = total + sign * _interpret(part, one, n, generator)
+    return total
 
 
 def parse_star_poly(text: str, n: int) -> StarPolynomial:

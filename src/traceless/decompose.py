@@ -13,8 +13,15 @@ do the same with each contribution self-adjoint.
 
 On a truncated witness the identity cannot hold exactly (matrix algebras
 have a trace), so ``verify_decomposition`` reports both the full residual
-and its compression to the truncation interior; the leftover is the
-boundary defect (1 - sum b_i* b_i) psi(a) plus the certified series tail.
+and its compression to the truncation interior.  For the pairs
+(b_i*, b_i psi(a)) the leftover is the boundary defect
+(1 - sum b_i* b_i) psi(a) plus the certified series tail; the defect sits
+on the boundary rows, and the interior compression removes it.  For the
+positive pairs it is root (1 - sum b_i* b_i) root plus the tail, with
+root = psi(a)^(1/2).  The root spreads the boundary defect over the
+interior, so the compression does not remove it: the interior residual of
+2 + s1 + s1* on the standard witness at depth 4 is 0.277, and it grows
+with the norm of a.
 
 Cost.  A witness element with at most one nonzero per row (shifts, evaluated
 normal monomials, diagonal elements: every shipped witness) is a weighted
@@ -245,7 +252,10 @@ def decompose_positive(
     """Express a positive element as a sum of n self-adjoint commutators.
 
     The pairs are (psi^(1/2) b_i*, b_i psi^(1/2)); positivity of the
-    Neumann series keeps psi(a) positive, so the square root exists.
+    Neumann series keeps psi(a) positive, so the square root exists.  Their
+    residual is psi^(1/2) (1 - sum b_i* b_i) psi^(1/2) plus the series tail,
+    and it is not confined to the boundary rows, so the interior residual
+    of these pairs is not small (module docstring).
     """
     if witness.backend != "matrix":
         raise TypeError("positive decomposition needs a matrix witness")

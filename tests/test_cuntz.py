@@ -18,10 +18,11 @@ from traceless import (
     vacuum_projection,
     word_isometry,
 )
-from traceless.cuntz import diagonal_sqrt, star_sums, symbolic_norm
+from traceless.cuntz import diagonal_sqrt, star_sums, symbolic_norm, word_from_string
 from traceless.errors import (
     GeneratorMismatch,
     IndexOutOfRange,
+    NotHermitian,
     NotPositive,
     StarSyntaxError,
     SymbolicSqrtUnsupported,
@@ -66,6 +67,46 @@ def test_parse_reports_position():
 def test_parse_rejects_large_generator_index():
     with pytest.raises(IndexOutOfRange):
         parse_star_poly("s3", 2)
+
+
+S1 = StarPolynomial(2, {((1,), ()): 1.0})
+
+
+# one row per behaviour of the parser: an exception and its exact message,
+# or the normal form the text parses to
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("s1 & s2", (StarSyntaxError, "unexpected character '&' (at position 3)")),
+        ("s1)", (StarSyntaxError, "trailing input ')' (at position 2)")),
+        ("(s1", (StarSyntaxError, "expected ')', found '' (at position 3)")),
+        ("2*3", (StarSyntaxError, "number '3' is not a factor (at position 2)")),
+        ("s1 + ", (StarSyntaxError, "expected a factor, found '' (at position 5)")),
+        ("2 s1", (StarSyntaxError, "trailing input 's1' (at position 2)")),
+        ("2 ( 1+2i)", (StarSyntaxError, "trailing input '(' (at position 2)")),
+        ("s1 i", (StarSyntaxError, "trailing input 'i' (at position 3)")),
+        ("s3", (IndexOutOfRange, "generator index 3 outside 1..2 (at position 0)")),
+        ("s1   ", S1),
+        ("( 1 + 2 i )*s1", (1 + 2j) * S1),
+        ("s1 (1+2i)", (1 + 2j) * S1),
+        ("1 s1", S1),
+        ("s1 1", S1),
+        ("s1 * s2", StarPolynomial(2)),
+        # a '1' before '*' at the start of a term is the scalar 1
+        ("1*s1", S1),
+        ("1 * s1 - 1*(s2 s1*)", S1 - StarPolynomial(2, {((2,), (1,)): 1.0})),
+        ("(1*)", (StarSyntaxError, "expected a factor, found ')' (at position 3)")),
+        ("s1 1*s2", (StarSyntaxError, "trailing input '*' (at position 4)")),
+    ],
+)
+def test_parser_table(text, expected):
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error) as err:
+            parse_star_poly(text, 2)
+        assert str(err.value) == message
+    else:
+        assert parse_star_poly(text, 2).terms == expected.terms
 
 
 def test_print_parse_round_trip():
@@ -343,3 +384,32 @@ def test_star_sums_agree_across_backends():
     inner = np.ix_(range(7), range(7))
     for sym, mat in zip(symbolic, matrices):
         assert np.allclose(evaluate(sym, trunc).entries[inner], mat.entries[inner], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# argument guards
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: word_from_string("ab"),
+                     ValueError, "word string must be generator digits, got 'ab'",
+                     id="word-not-digits"),
+        pytest.param(lambda: StarPolynomial(0),
+                     ValueError, "need at least one generator", id="no-generators"),
+        pytest.param(lambda: fock_truncation(2, -1),
+                     ValueError, "need n >= 1 and depth >= 0", id="negative-depth"),
+        pytest.param(lambda: evaluate(gen(3, 1), fock_truncation(2, 1)),
+                     GeneratorMismatch, "3 generators vs truncation over 2",
+                     id="evaluate-other-n"),
+        pytest.param(lambda: diagonal_sqrt(1j * unit(2)),
+                     NotHermitian, "eigenvalue 1j at word '' is not real",
+                     id="sqrt-not-hermitian"),
+    ],
+)
+def test_argument_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -513,3 +513,42 @@ def test_verify_refuses_matrix_pairs_for_a_symbolic_element():
     poly = parse_star_poly("s1", 2)
     with pytest.raises(TypeError, match="Operator in a decomposition of StarPolynomial elements"):
         verify_decomposition(poly, [CommutatorPair(matrix, matrix)])
+
+
+# ---------------------------------------------------------------------------
+# argument guards
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: apply_phi(identity(7), standard_isometry_witness(2)),
+                     TypeError, "symbolic witness needs a symbolic argument",
+                     id="phi-matrix-argument-symbolic-witness"),
+        pytest.param(lambda: apply_phi(unit(2), standard_isometry_witness(2, depth=2)),
+                     TypeError, "matrix witness needs an Operator argument",
+                     id="phi-symbolic-argument-matrix-witness"),
+        pytest.param(lambda: solve_psi_direct(identity(7), standard_isometry_witness(2)),
+                     TypeError, "direct solve needs a matrix witness", id="direct-symbolic"),
+        pytest.param(lambda: solve_psi_direct(identity(3),
+                                              check_witness([identity(3), identity(3)])),
+                     NotContractive, "eta2 = 2.0 >= 1", id="direct-not-contractive"),
+        pytest.param(lambda: solve_psi_direct(identity(3), standard_isometry_witness(2, depth=2)),
+                     DimensionMismatch, "dim 3 vs witness dim 7", id="direct-dimension"),
+        pytest.param(lambda: decompose_element(identity(7), standard_isometry_witness(2, depth=2),
+                                               solver="cg"),
+                     ValueError, "unknown solver 'cg'", id="unknown-solver"),
+        pytest.param(lambda: decompose_positive(unit(2), standard_isometry_witness(2)),
+                     TypeError, "positive decomposition needs a matrix witness",
+                     id="positive-symbolic"),
+        pytest.param(lambda: verify_decomposition(
+                         identity(7), [CommutatorPair(identity(3), identity(3))]),
+                     DimensionMismatch, "pair dimension differs from the target element",
+                     id="verify-pair-dimension"),
+    ],
+)
+def test_argument_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

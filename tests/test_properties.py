@@ -17,8 +17,10 @@ from traceless import (
     StarPolynomial,
     evaluate,
     fock_truncation,
+    gen,
     parse_star_poly,
     poly_to_string,
+    unit,
 )
 from traceless.cuntz import (
     PRUNE_TOL,
@@ -70,6 +72,96 @@ def test_parse_of_the_printed_normal_form_is_the_polynomial(p):
     # form that parses back to itself
     assert equals(again, p, 2 * PRUNE_TOL)
     assert _same(parse_star_poly(poly_to_string(again), p.n), again)
+
+
+# whitespace between tokens, and between juxtaposed factors, where it is needed
+SPACE = st.sampled_from(["", " ", "  ", "\t"])
+GAP = st.sampled_from([" ", "  ", "\t", " \n "])
+
+
+def _scalar_text(draw, c: complex, real_text: bool) -> str:
+    """A Gaussian integer with a non-negative real part, as the parser reads it."""
+    re, im = int(c.real), int(c.imag)
+    if real_text and im == 0 and draw(st.booleans()):
+        return draw(st.sampled_from([str(re), f"{re}.0", f"{re}e0"]))
+    s = [draw(SPACE) for _ in range(5)]
+    return f"({s[0]}{re}{s[1]}{'-' if im < 0 else '+'}{s[2]}{abs(im)}{s[3]}i{s[4]})"
+
+
+def _signed_scalar(draw, real_text: bool):
+    """(text, value, sign) of a Gaussian scalar: the text reads as sign * value,
+    since a written scalar has no sign of its own."""
+    c = draw(GAUSSIAN)
+    sign = -1 if c.real < 0 else 1
+    return _scalar_text(draw, sign * c, real_text), c, sign
+
+
+def _factor(draw, n: int, depth: int, scalar: bool):
+    """(text, value, sign) of one factor of a product."""
+    kinds = ["gen", "gen", "one"] + ["scalar"] * scalar + ["group"] * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "gen":
+        i = draw(st.integers(1, n))
+        if draw(st.booleans()):
+            return f"s{i}{draw(SPACE)}*", gen(n, i).adjoint(), 1
+        return f"s{i}", gen(n, i), 1
+    if kind == "one":
+        return "1", unit(n), 1
+    if kind == "scalar":
+        text, c, sign = _signed_scalar(draw, real_text=False)
+        return text, c * unit(n), sign
+    text, value = _expression(draw, n, depth - 1)
+    return f"({draw(SPACE)}{text}{draw(SPACE)})", value, 1
+
+
+def _term(draw, n: int, depth: int):
+    """(text, value, sign): a bare scalar, or an optional leading scalar
+    multiple of juxtaposed factors, the first of which is not a scalar."""
+    if draw(st.integers(0, 5)) == 0:
+        text, c, sign = _signed_scalar(draw, real_text=True)
+        return text, c * unit(n), sign
+    count = draw(st.integers(1, 3))
+    factors = [_factor(draw, n, depth, scalar=k > 0) for k in range(count)]
+    text = "".join(f + draw(GAP) for f, _, _ in factors[:-1]) + factors[-1][0]
+    value, sign = unit(n), 1
+    for _, factor_value, factor_sign in factors:
+        value, sign = value @ factor_value, sign * factor_sign
+    if draw(st.booleans()):
+        scalar_text, c, scalar_sign = _signed_scalar(draw, real_text=True)
+        text = f"{scalar_text}{draw(SPACE)}*{draw(SPACE)}{text}"
+        value, sign = c * value, sign * scalar_sign
+    return text, value, sign
+
+
+def _expression(draw, n: int, depth: int):
+    """(text, value): signed terms, the first sign optional when it is '+'."""
+    text, value = "", 0 * unit(n)
+    for k in range(draw(st.integers(1, 3))):
+        body, term_value, sign = _term(draw, n, depth)
+        term_sign = draw(st.sampled_from([1, -1]))
+        value = value + term_sign * term_value
+        written = "-" if term_sign * sign < 0 else "+"
+        if k == 0 and written == "+" and draw(st.booleans()):
+            written = ""
+        text += f"{draw(SPACE) if k else ''}{written}{draw(SPACE)}{body}"
+    return text, value
+
+
+@st.composite
+def _expressions(draw):
+    n = draw(st.integers(1, 3))
+    text, value = _expression(draw, n, depth=2)
+    return n, text, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions())
+@example((2, "1*s1 - 1 * (s2 s1*)", StarPolynomial(2, {((1,), ()): 1, ((2,), (1,)): -1})))
+@example((2, "s1 * s2 + s1 ( 0 + 2 i )", StarPolynomial(2, {((1,), ()): 2j})))
+def test_parse_of_a_rendered_expression_is_its_value(case):
+    n, text, value = case
+    # Gaussian-integer scalars keep every product and sum exact
+    assert _same(parse_star_poly(text, n), value), text
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceless import Operator, equals, evaluate_witness, fock_truncation, op_norm, parse_star_poly
+from traceless import (
+    Operator,
+    equals,
+    evaluate_witness,
+    fock_truncation,
+    op_norm,
+    parse_star_poly,
+    unit,
+)
 from traceless.decompose import decompose_element, solve_psi_direct, verify_decomposition
 from traceless.serialization import (
     decomposition_from_json,
@@ -263,3 +271,30 @@ def test_matrix_to_json_entries_are_the_cell_floats():
     assert all(type(x) is float for x in flat)
     assert [math.copysign(1.0, x) for x in flat] == [-1, 1, 1, -1, 1, -1, 1, -1]
     assert dumps(entries) == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: dumps({1: 2}), TypeError, "keys must be str, not int",
+                     id="dumps-int-key"),
+        pytest.param(lambda: dumps({"a": object()}),
+                     TypeError, "Object of type object is not JSON serializable",
+                     id="dumps-object"),
+        pytest.param(lambda: poly_to_json(unit(10)),
+                     ValueError, "polynomial JSON writes one digit per letter; needs n <= 9",
+                     id="poly-n-10"),
+        pytest.param(lambda: poly_from_json({"terms": []}),
+                     ValueError, "polynomial JSON needs an 'n' field", id="poly-no-n"),
+        pytest.param(lambda: witness_from_json({"backend": "tensor", "elements": []}),
+                     ValueError, "unknown witness backend 'tensor'", id="witness-backend"),
+        pytest.param(lambda: decomposition_from_json({"backend": "tensor", "pairs": []}),
+                     ValueError, "unknown report backend 'tensor'", id="report-backend"),
+        pytest.param(lambda: witness_from_json({"backend": "matrix", "elements": []}),
+                     ValueError, "witness JSON has no elements", id="witness-no-elements"),
+    ],
+)
+def test_argument_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -267,3 +267,18 @@ def test_reported_opnorm_is_the_norm_at_the_reported_coefficients():
             t * c.entries for t, c in zip(estimate.coefficients, family.span_elements)
         )
         assert estimate.opnorm_residual == pytest.approx(op_norm(residual), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: commutator_distance(
+                         commutator_span_family([random_operator(np.random.default_rng(3), 3)]),
+                         interior_mask=np.zeros(3, dtype=bool)),
+                     DimensionMismatch, "interior mask has empty range", id="empty-interior"),
+    ],
+)
+def test_argument_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -17,7 +17,13 @@ from traceless import (
     word_isometry,
 )
 from traceless.cuntz import multiply_scalar, zero_poly
-from traceless.errors import DimensionMismatch, EmptyFamily, SymbolicSqrtUnsupported, TraceObstruction
+from traceless.errors import (
+    DimensionMismatch,
+    EmptyFamily,
+    GeneratorMismatch,
+    SymbolicSqrtUnsupported,
+    TraceObstruction,
+)
 from traceless.witness import (
     WitnessFamily,
     build_witness,
@@ -294,3 +300,25 @@ def test_standard_witness_depth_one():
 def test_standard_witness_needs_two():
     with pytest.raises(EmptyFamily):
         standard_isometry_witness(1)
+
+
+# ---------------------------------------------------------------------------
+# argument guards
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: check_witness([gen(2, 1), gen(3, 1)]),
+                     GeneratorMismatch, "3 generators vs 2", id="generator-counts-differ"),
+        pytest.param(lambda: toeplitz_candidate_family(0),
+                     ValueError, "J must be >= 1", id="toeplitz-j-zero"),
+        pytest.param(lambda: evaluate_witness(standard_isometry_witness(2, depth=2), 3),
+                     TypeError, "can only evaluate a symbolic witness", id="evaluate-matrix"),
+    ],
+)
+def test_argument_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

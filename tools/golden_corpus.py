@@ -484,6 +484,21 @@ def build(corpus: Corpus) -> None:
     run("decompose-positive-1e8", "decompose", "--a", "a-positive-1e8-d5.json",
         "--witness", "w-standard-d5.json", "--positive", "--out", "d-positive-1e8.json")
 
+    # a '1' before '*' at the start of a term is the scalar 1
+    run("eval-unit-scalar", "eval", "--expr", "1*s1 - 1*(s2 s1*)", "--n", "2")
+
+    # input errors of the commands' own checks
+    run("decompose-symbolic-a", "decompose", "--a", "a-poly.json",
+        "--witness", "w-standard-d4.json")
+    no_a = load("d-neumann.json")
+    del no_a["a"]
+    write("d-no-a.json", no_a)
+    run("verify-no-a", "verify", "--report", "d-no-a.json")
+    run("dist-interior-unlabelled", "dist", "--family", "family-rank-deficient.json",
+        "--interior-length", "1")
+    tampered("w-standard.json", "w-mu-3.json", ["elements", 0, "terms", 0, "mu"], "3")
+    run("check-generator-out-of-range", "witness-check", "w-mu-3.json")
+
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
