@@ -6,11 +6,13 @@ effective config, result or error) to standard output; ``--out`` writes the
 raw artifact (witness, decomposition report, ...) to a file so commands can
 be chained.
 
-Exit codes: 0 success, 2 validation failures (invalid witness, trace
-obstruction, and other domain errors, with the diagnostic report still
-emitted), 1 I/O or parse errors.  A flag value that argparse refuses, a
-non-finite ``--tol`` or ``--eps`` and a ``--eps`` that is not positive among
-them, exits 2 with its usage message on stderr and nothing on stdout.
+Exit codes: 0 success, 2 an invalid witness (its report still emitted) or a
+domain error, 1 an I/O, JSON or expression error.  Every error leaves
+``main`` by one arm: a ``TracelessError`` with its code and ``exit_status``,
+an ``OSError`` or ``ValueError`` as "input-error" with 1.  A flag value that
+argparse refuses, a non-finite ``--tol`` or ``--eps`` and a ``--eps`` that is
+not positive among them, exits 2 with its usage message on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 from . import __version__
 from . import cuntz
 from .decompose import decompose_element, decompose_positive, verify_decomposition
-from .errors import IndexOutOfRange, StaleReport, StarSyntaxError, TracelessError, TraceObstruction
+from .errors import StaleReport, TracelessError, TraceObstruction
 from .linalg import Operator
 from .serialization import (
     _claimed_eta2,
@@ -37,6 +39,7 @@ from .serialization import (
     family_from_json,
     matrix_to_json,
     poly_to_json,
+    report_to_json,
     verification_to_json,
     witness_from_json,
     witness_to_json,
@@ -49,8 +52,6 @@ from .witness import (
     standard_isometry_witness,
     toeplitz_candidate_family,
 )
-
-_PARSE_ERRORS = (StarSyntaxError, IndexOutOfRange)
 
 # largest disagreement between a witness file's eta2 and the recomputed one
 _STALE_ETA2_TOL = 1e-12
@@ -126,8 +127,7 @@ def _cmd_witness_gen(args):
 
 def _cmd_witness_check(args):
     witness = witness_from_json(_load_json(args.witness), tol=args.tol)
-    report = witness_to_json(witness)["report"]
-    result = {"backend": witness.backend, "n": witness.n, "report": report}
+    result = {"backend": witness.backend, "n": witness.n, "report": report_to_json(witness.report)}
     return (0 if witness.report.valid else 2), result, result
 
 
@@ -306,30 +306,22 @@ def main(argv=None) -> int:
     try:
         code, result, artifact = args.func(args)
         # opened once the command has succeeded; failing to is an input-error
-        out = None if artifact is None else getattr(args, "out", None)
+        out = getattr(args, "out", None)
         handle = None if out is None else open(out, "w", encoding="utf-8")
-    except _PARSE_ERRORS as exc:
-        envelope["error"] = {"code": exc.code, "message": str(exc)}
-        sys.stdout.write(dumps(envelope))
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        envelope["error"] = {"code": "input-error", "message": str(exc)}
-        sys.stdout.write(dumps(envelope))
-        return 1
-    except TracelessError as exc:
-        error = {"code": exc.code, "message": str(exc)}
+    except (TracelessError, OSError, ValueError) as exc:
+        domain = isinstance(exc, TracelessError)  # else an input-error, JSON syntax too
+        error = {"code": exc.code if domain else "input-error", "message": str(exc)}
         if isinstance(exc, TraceObstruction):
             error["t0"] = exc.t0
         envelope["error"] = error
         sys.stdout.write(dumps(envelope))
-        return 2
+        return exc.exit_status if domain else 1
     envelope["result"] = result
     if handle is None:
         sys.stdout.write(dumps(envelope))
-        return code
-    # the result embeds the artifact, so its one render serves both
-    with handle:
-        dump_envelope(envelope, artifact, sys.stdout, handle)
+    else:
+        with handle:  # the result embeds the artifact, so its one render serves both
+            dump_envelope(envelope, artifact, sys.stdout, handle)
     return code
 
 

@@ -303,20 +303,19 @@ def star_sums(family) -> tuple:
 # Expression parser
 #
 # expr    := ['+'|'-'] term (('+'|'-') term)*
-# term    := scalar '*' factor+ | scalar | factor+
+# term    := scalar '*' factor+ | scalar factor* | factor+
 # factor  := 's' digits ['*'] | '1' | complex | '(' expr ')'
 # scalar  := float | complex
 # complex := '(' float ('+'|'-') float 'i' ')'
 #
 # Juxtaposition of factors is the product.  A '*' after a generator is always
-# its adjoint, so "s1 * s2" is s1* s2; a '*' after a leading scalar is the
-# scalar multiple.  At the start of a term a number or a complex scalar is a
-# scalar, except a '1' that no '*' follows, which is the unit factor: "1*s1"
-# and "1 s1" are both s1, while "2 s1" and "(1+2i) s1" are syntax errors.
-# Later in a term a complex scalar is a factor too, as in "s1 (1+2i)".  The
-# leading sign is optional.  Whitespace is ignored, also inside a complex
-# scalar "( a + b i )", which the tokenizer reads as one token, so the
-# parser needs one token of lookahead.
+# its adjoint, so "s1 * s2" is s1* s2.  A term's leading number or complex
+# scalar multiplies the product after it, with or without a '*': "2*s1 s2",
+# "2 s1 s2" and "(1+2i) s1" are scalar multiples, "1 s1" is s1.  Later in a
+# term '1' and a complex scalar are factors, as in "s1 1" and "s1 (1+2i)";
+# any other number there is an error.  The leading sign is optional.  Whitespace is ignored, also inside a complex scalar
+# "( a + b i )", which the tokenizer reads as one token, so the parser needs
+# one token of lookahead.
 # ---------------------------------------------------------------------------
 
 _NUMBER = r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -354,8 +353,8 @@ class _Parser:
     """Recursive-descent parser with one token of lookahead, producing a
     small AST of tuples.
 
-    Nodes: ("scalar", c), ("gen", i, position), ("adj", node), ("one",),
-           ("mul", [nodes]), ("sum", [(sign, node), ...]).
+    Nodes: ("scalar", c), ("gen", i, position), ("adj", node), ("mul", [nodes]),
+           ("sum", [(sign, node), ...]); a '1' is the scalar 1 everywhere.
     """
 
     def __init__(self, text: str):
@@ -392,13 +391,11 @@ class _Parser:
         token = self.peek()
         if token[0] not in ("num", "complex"):
             return self.parse_product([self.parse_factor()])
-        self.advance()
-        if self.peek()[0] == "*":  # a scalar multiple, "1*" included
+        scalar = ("scalar", self.advance()[3])
+        if self.peek()[0] == "*":
             self.advance()
-            return ("mul", [("scalar", token[3]), self.parse_product([self.parse_factor()])])
-        if token[1] == "1":  # the unit factor
-            return self.parse_product([("one",)])
-        return ("scalar", token[3])  # a bare scalar term
+            return ("mul", [scalar, self.parse_product([self.parse_factor()])])
+        return self.parse_product([scalar])
 
     def parse_product(self, factors: list):
         """``factors`` followed by every juxtaposed factor; one factor is itself."""
@@ -415,12 +412,10 @@ class _Parser:
                 self.advance()
                 return ("adj", node)
             return node
-        if kind == "num" and token[1] == "1":
-            return ("one",)
+        if kind == "complex" or token[1] == "1":
+            return ("scalar", token[3])
         if kind == "num":
             raise StarSyntaxError(f"number {token[1]!r} is not a factor", token[2])
-        if kind == "complex":
-            return ("scalar", token[3])
         if kind == "(":
             node = self.parse_expr()
             closing = self.advance()
@@ -436,8 +431,6 @@ def _interpret(node, one, n: int, generator):
     kind = node[0]
     if kind == "scalar":
         return node[1] * one
-    if kind == "one":
-        return one
     if kind == "gen":
         index, where = node[1], node[2]
         if not 1 <= index <= n:

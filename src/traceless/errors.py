@@ -2,9 +2,11 @@
 
 
 class TracelessError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors: ``code`` names one in the CLI's
+    envelope, and the CLI exits with ``exit_status``, 2 for a domain error."""
 
     code = "error"
+    exit_status = 2
 
 
 class DimensionMismatch(TracelessError):
@@ -72,6 +74,7 @@ class StarSyntaxError(TracelessError):
     """Expression syntax error; ``position`` is a 0-based offset into the input."""
 
     code = "syntax-error"
+    exit_status = 1
 
     def __init__(self, message: str, position: int):
         self.position = int(position)
@@ -82,3 +85,4 @@ class IndexOutOfRange(TracelessError):
     """A generator index fell outside 1..n."""
 
     code = "index-out-of-range"
+    exit_status = 1

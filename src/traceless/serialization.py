@@ -38,7 +38,7 @@ import numpy as np
 
 from .cuntz import StarPolynomial, word_from_string, word_to_string
 from .linalg import Operator
-from .witness import WitnessFamily, backend_of
+from .witness import WitnessFamily, WitnessReport, backend_of
 from .decompose import CommutatorPair, DecompositionResult, VerificationReport
 from .tracedist import CommutatorSpanFamily, DistanceEstimate, commutator_span_family
 
@@ -49,6 +49,7 @@ __all__ = [
     "poly_from_json",
     "element_to_json",
     "element_from_json",
+    "report_to_json",
     "witness_to_json",
     "witness_from_json",
     "elements_from_json",
@@ -262,9 +263,9 @@ def poly_to_json(p: StarPolynomial) -> dict:
 
 def poly_from_json(data: dict) -> StarPolynomial:
     """Read a polynomial; raises ValueError for an "n" that is not an integer,
-    "terms" that is not a list, a term that is not an object, a word "mu" or
-    "nu" that is not a string, or a coefficient part "re" or "im" that is not
-    a finite JSON number."""
+    "terms" that is not a list, a term that is not an object or has no "re",
+    a word "mu" or "nu" that is not a string, or a coefficient part "re" or
+    "im" that is not a finite JSON number."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("polynomial JSON needs an 'n' field")
     if type(data["n"]) is not int:
@@ -279,6 +280,8 @@ def poly_from_json(data: dict) -> StarPolynomial:
         for field in ("mu", "nu"):
             if not isinstance(term.get(field), str):
                 raise ValueError(f"polynomial term {i} has a {field!r} that is not a string")
+        if "re" not in term:
+            raise ValueError(f"polynomial term {i} has no 're'")
         key = (word_from_string(term["mu"]), word_from_string(term["nu"]))
         re, im = term["re"], term.get("im", 0.0)
         coef = complex(re, im) if _is_number(re) and _is_number(im) else complex(math.nan)
@@ -305,13 +308,17 @@ def element_from_json(data: dict):
     return matrix_from_json(data)
 
 
+def report_to_json(report: WitnessReport) -> dict:
+    """eta1, eta2, valid and, if it was computed, eta1_interior."""
+    return {key: v for key, v in asdict(report).items() if v is not None}
+
+
 def witness_to_json(witness: WitnessFamily) -> dict:
     out = {
         "backend": witness.backend,
         "n": witness.n,
         "elements": [element_to_json(b) for b in witness.elements],
-        # eta1, eta2, valid and, if it was computed, eta1_interior
-        "report": {key: v for key, v in asdict(witness.report).items() if v is not None},
+        "report": report_to_json(witness.report),
     }
     if witness.degree is not None:
         out["degree"] = witness.degree
@@ -397,8 +404,8 @@ def decomposition_to_json(result: DecompositionResult, report: VerificationRepor
 
 
 def decomposition_from_json(data: dict) -> tuple[object | None, list[CommutatorPair], dict]:
-    """Return (a, pairs, raw) from a decomposition report; raises ValueError
-    for a pair element or an embedded "a" that is not of the "backend" kind."""
+    """Return (a, pairs, raw) from a decomposition report; raises ValueError for
+    a pair without "x" or "y", or a pair element or "a" not of the "backend" kind."""
     backend = data.get("backend")
     if backend not in ("matrix", "symbolic"):
         raise ValueError(f"unknown report backend {backend!r}")
@@ -409,6 +416,9 @@ def decomposition_from_json(data: dict) -> tuple[object | None, list[CommutatorP
     for i, p in enumerate(pairs_data):
         if not isinstance(p, dict):
             raise ValueError(f"report pair {i} is not an object")
+        for key in ("x", "y"):
+            if key not in p:
+                raise ValueError(f"report pair {i} has no {key!r}")
         x, y = (_element_of(backend, p[key], f"report pair {i} {key!r}") for key in ("x", "y"))
         pairs.append(CommutatorPair(x, y, bool(p.get("self_adjoint", False))))
     a = _element_of(backend, data["a"], "report 'a'") if "a" in data else None

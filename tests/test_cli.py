@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from traceless import Operator, cuntz, fock_truncation, identity, parse_star_poly
+from traceless import Operator, cli, cuntz, errors, fock_truncation, identity, parse_star_poly
 from traceless.cli import main
 from traceless.serialization import dumps, matrix_to_json, poly_to_json
 from traceless.witness import toeplitz_candidate_family
@@ -607,3 +607,45 @@ def test_an_out_file_that_cannot_be_opened_is_an_input_error(tmp_path, monkeypat
     assert "result" not in envelope
     assert envelope["config"]["out"] == target
     assert list(tmp_path.iterdir()) == []
+
+
+# each error class's exit code, as the cli module docstring and the README give it
+EXIT_STATUS = {
+    errors.DimensionMismatch: 2,
+    errors.GeneratorMismatch: 2,
+    errors.EmptyFamily: 2,
+    errors.NotHermitian: 2,
+    errors.NotPositive: 2,
+    errors.NotContractive: 2,
+    errors.StaleReport: 2,
+    errors.MaxIterExceeded: 2,
+    errors.SizeLimitExceeded: 2,
+    errors.TraceObstruction: 2,
+    errors.SymbolicSqrtUnsupported: 2,
+    errors.StarSyntaxError: 1,
+    errors.IndexOutOfRange: 1,
+}
+
+
+def test_the_exit_status_table_names_every_error_class():
+    classes = {
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.TracelessError)
+    }
+    assert classes - {errors.TracelessError} == set(EXIT_STATUS)
+
+
+@pytest.mark.parametrize("error", list(EXIT_STATUS), ids=lambda error: error.code)
+def test_an_error_leaves_main_with_its_class_exit_status(capsys, monkeypatch, error):
+    args = {errors.TraceObstruction: (1.5,), errors.StarSyntaxError: ("bad", 3)}
+    args = args.get(error, ("bad",))
+
+    def command(_):
+        raise error(*args)
+
+    monkeypatch.setattr(cli, "_cmd_eval", command)
+    code, envelope, _ = run_cli(capsys, "eval", "--expr", "s1", "--n", "2")
+    assert error.exit_status == code == EXIT_STATUS[error]
+    assert envelope["error"]["code"] == error.code
+    assert envelope["error"]["message"] == str(error(*args))
+

@@ -82,8 +82,8 @@ S1 = StarPolynomial(2, {((1,), ()): 1.0})
         ("(s1", (StarSyntaxError, "expected ')', found '' (at position 3)")),
         ("2*3", (StarSyntaxError, "number '3' is not a factor (at position 2)")),
         ("s1 + ", (StarSyntaxError, "expected a factor, found '' (at position 5)")),
-        ("2 s1", (StarSyntaxError, "trailing input 's1' (at position 2)")),
-        ("2 ( 1+2i)", (StarSyntaxError, "trailing input '(' (at position 2)")),
+        ("2 s1", 2 * S1),
+        ("2 ( 1+2i)", (2 + 4j) * unit(2)),
         ("s1 i", (StarSyntaxError, "trailing input 'i' (at position 3)")),
         ("s3", (IndexOutOfRange, "generator index 3 outside 1..2 (at position 0)")),
         ("s1   ", S1),
@@ -92,11 +92,14 @@ S1 = StarPolynomial(2, {((1,), ()): 1.0})
         ("1 s1", S1),
         ("s1 1", S1),
         ("s1 * s2", StarPolynomial(2)),
-        # a '1' before '*' at the start of a term is the scalar 1
+        # a leading scalar, '1' too, multiplies its term with or without '*'
         ("1*s1", S1),
         ("1 * s1 - 1*(s2 s1*)", S1 - StarPolynomial(2, {((2,), (1,)): 1.0})),
         ("(1*)", (StarSyntaxError, "expected a factor, found ')' (at position 3)")),
         ("s1 1*s2", (StarSyntaxError, "trailing input '*' (at position 4)")),
+        ("(1+2i) s1", (1 + 2j) * S1),
+        ("2 s1 s2", 2 * StarPolynomial(2, {((1, 2), ()): 1.0})),  # as "2*s1 s2"
+        ("2 3", (StarSyntaxError, "number '3' is not a factor (at position 2)")),
     ],
 )
 def test_parser_table(text, expected):

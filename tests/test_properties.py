@@ -115,8 +115,9 @@ def _factor(draw, n: int, depth: int, scalar: bool):
 
 
 def _term(draw, n: int, depth: int):
-    """(text, value, sign): a bare scalar, or an optional leading scalar
-    multiple of juxtaposed factors, the first of which is not a scalar."""
+    """(text, value, sign): a bare scalar, or an optional leading scalar, with
+    or without '*', times juxtaposed factors, the first of which is not a
+    scalar."""
     if draw(st.integers(0, 5)) == 0:
         text, c, sign = _signed_scalar(draw, real_text=True)
         return text, c * unit(n), sign
@@ -128,7 +129,8 @@ def _term(draw, n: int, depth: int):
         value, sign = value @ factor_value, sign * factor_sign
     if draw(st.booleans()):
         scalar_text, c, scalar_sign = _signed_scalar(draw, real_text=True)
-        text = f"{scalar_text}{draw(SPACE)}*{draw(SPACE)}{text}"
+        times = f"{draw(SPACE)}*{draw(SPACE)}" if draw(st.booleans()) else draw(GAP)
+        text = f"{scalar_text}{times}{text}"
         value, sign = c * value, sign * scalar_sign
     return text, value, sign
 
@@ -158,6 +160,7 @@ def _expressions(draw):
 @given(_expressions())
 @example((2, "1*s1 - 1 * (s2 s1*)", StarPolynomial(2, {((1,), ()): 1, ((2,), (1,)): -1})))
 @example((2, "s1 * s2 + s1 ( 0 + 2 i )", StarPolynomial(2, {((1,), ()): 2j})))
+@example((2, "2 s1 - (1+2i) s2 s1*", StarPolynomial(2, {((1,), ()): 2, ((2,), (1,)): -1 - 2j})))
 def test_parse_of_a_rendered_expression_is_its_value(case):
     n, text, value = case
     # Gaussian-integer scalars keep every product and sum exact

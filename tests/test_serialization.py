@@ -17,12 +17,14 @@ from traceless import (
     unit,
 )
 from traceless.decompose import decompose_element, solve_psi_direct, verify_decomposition
+from traceless.errors import TracelessError
 from traceless.serialization import (
     decomposition_from_json,
     decomposition_to_json,
     dump_envelope,
     dumps,
     element_from_json,
+    family_from_json,
     matrix_from_json,
     matrix_to_json,
     poly_from_json,
@@ -292,9 +294,74 @@ def test_matrix_to_json_entries_are_the_cell_floats():
                      ValueError, "unknown report backend 'tensor'", id="report-backend"),
         pytest.param(lambda: witness_from_json({"backend": "matrix", "elements": []}),
                      ValueError, "witness JSON has no elements", id="witness-no-elements"),
+        pytest.param(lambda: poly_from_json({"n": 2, "terms": [{"mu": "1", "nu": ""}]}),
+                     ValueError, "polynomial term 0 has no 're'", id="poly-term-no-re"),
+        pytest.param(lambda: decomposition_from_json({"backend": "matrix", "pairs": [{"y": {}}]}),
+                     ValueError, "report pair 0 has no 'x'", id="report-pair-no-x"),
     ],
 )
 def test_argument_guards(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+def _valid_documents():
+    """(reader, JSON document) pairs, each document one that the reader accepts."""
+    matrix_witness = standard_isometry_witness(2, depth=2)
+    a = random_hermitian(np.random.default_rng(7), 7, matrix_witness.elements[0].basis_labels)
+    result = decompose_element(a, matrix_witness, eps=1e-10)
+    report = verify_decomposition(a, result.pairs, matrix_witness.interior_mask)
+    documents = [
+        (witness_from_json, witness_to_json(matrix_witness)),
+        (witness_from_json, witness_to_json(standard_isometry_witness(2))),
+        (decomposition_from_json, decomposition_to_json(result, report, a=a)),
+        (poly_from_json, poly_to_json(parse_star_poly("0.5*s1 s2* - (0+1i)*s2 + 1", 2))),
+        (family_from_json, {"generators": [matrix_to_json(a), matrix_to_json(a @ a)]}),
+    ]
+    return [(reader, json.loads(dumps(document))) for reader, document in documents]
+
+
+DOCUMENTS = _valid_documents()
+JUNK = st.sampled_from(
+    [None, True, 0, -1, 3, 10**400, 1.5e308, math.nan, math.inf, "", "3", "x", [], [0.5, 0.5],
+     [[1.0, 0.0]], {}, {"n": 2}, {"entries": []}]
+)
+
+
+def _paths(value, path=()):
+    """Every path to a value inside ``value``, the root excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield path + (key,)
+        if isinstance(item, (dict, list)):
+            yield from _paths(item, path + (key,))
+
+
+@st.composite
+def _damaged_documents(draw):
+    """A valid document with one key or list item deleted, or one value
+    replaced with junk."""
+    reader, document = draw(st.sampled_from(DOCUMENTS))
+    document = json.loads(json.dumps(document))
+    *path, last = draw(st.sampled_from(list(_paths(document))))
+    parent = document
+    for key in path:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = draw(JUNK)
+    return reader, document
+
+
+@settings(max_examples=400, deadline=None)
+@given(_damaged_documents())
+# a junk entry of 1.5e308 overflows the witness's star sums, which is not an exception
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_damaged_document_is_read_or_refused_with_a_value_or_domain_error(case):
+    reader, document = case
+    try:
+        reader(document)
+    except (ValueError, TracelessError):
+        pass

@@ -499,6 +499,19 @@ def build(corpus: Corpus) -> None:
     tampered("w-standard.json", "w-mu-3.json", ["elements", 0, "terms", 0, "mu"], "3")
     run("check-generator-out-of-range", "witness-check", "w-mu-3.json")
 
+    # a leading scalar multiplies its term, with or without '*'
+    run("eval-leading-scalar", "eval", "--expr", "2 s1 - (1+2i) s2 s1*", "--n", "2")
+
+    # a missing key is an input-error that names it
+    no_re = load("w-standard.json")
+    del no_re["elements"][0]["terms"][0]["re"]
+    write("w-term-no-re.json", no_re)
+    run("check-term-missing-re", "witness-check", "w-term-no-re.json")
+    no_x = load("d-neumann.json")
+    del no_x["pairs"][0]["x"]
+    write("d-pair-no-x.json", no_x)
+    run("verify-pair-missing-x", "verify", "--report", "d-pair-no-x.json")
+
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
