@@ -9,7 +9,8 @@ be chained.
 Exit codes: 0 success, 2 an invalid witness (its report still emitted) or a
 domain error, 1 an I/O, JSON or expression error.  Every error leaves
 ``main`` by one arm: a ``TracelessError`` with its code and ``exit_status``,
-an ``OSError`` or ``ValueError`` as "input-error" with 1.  A flag value that
+an ``OSError`` or ``ValueError`` as "input-error" with 1, a result that JSON
+cannot hold (an infinite norm) among them.  A flag value that
 argparse refuses, a non-finite ``--tol`` or ``--eps`` and a ``--eps`` that is
 not positive among them, exits 2 with its usage message on stderr and
 nothing on stdout.
@@ -31,7 +32,6 @@ from .serialization import (
     _claimed_eta2,
     decomposition_from_json,
     decomposition_to_json,
-    dump_envelope,
     dumps,
     element_from_json,
     elements_from_json,
@@ -39,6 +39,7 @@ from .serialization import (
     family_from_json,
     matrix_to_json,
     poly_to_json,
+    render_envelope,
     report_to_json,
     verification_to_json,
     witness_from_json,
@@ -305,9 +306,17 @@ def main(argv=None) -> int:
     }
     try:
         code, result, artifact = args.func(args)
-        # opened once the command has succeeded; failing to is an input-error
+        success = {**envelope, "result": result}
         out = getattr(args, "out", None)
-        handle = None if out is None else open(out, "w", encoding="utf-8")
+        if out is None:
+            chunks = [dumps(success)]
+        else:
+            # the result embeds the artifact, so its one render serves both;
+            # --out is opened once both are rendered, so a failure writes nothing
+            artifact_chunks, chunks = render_envelope(success, artifact)
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.writelines(artifact_chunks)
+            del artifact_chunks  # its text is not held while stdout is written
     except (TracelessError, OSError, ValueError) as exc:
         domain = isinstance(exc, TracelessError)  # else an input-error, JSON syntax too
         error = {"code": exc.code if domain else "input-error", "message": str(exc)}
@@ -316,12 +325,7 @@ def main(argv=None) -> int:
         envelope["error"] = error
         sys.stdout.write(dumps(envelope))
         return exc.exit_status if domain else 1
-    envelope["result"] = result
-    if handle is None:
-        sys.stdout.write(dumps(envelope))
-    else:
-        with handle:  # the result embeds the artifact, so its one render serves both
-            dump_envelope(envelope, artifact, sys.stdout, handle)
+    sys.stdout.writelines(chunks)
     return code
 
 

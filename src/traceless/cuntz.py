@@ -44,7 +44,7 @@ from .errors import (
     StarSyntaxError,
     SymbolicSqrtUnsupported,
 )
-from .linalg import Operator, _distinct
+from .linalg import Operator
 
 __all__ = [
     "Word",
@@ -272,12 +272,11 @@ def star_sums(family) -> tuple:
     """(sum_i b_i* b_i, sum_i b_i b_i*), summed in index order.
 
     Written in the operator syntax shared by StarPolynomial and Operator, so
-    one call serves a symbolic or a matrix family.  A matrix family whose
-    every element is a weighted partial map b = sum_k v_k |r_k><c_k|
-    (``Operator.partial_map``) takes O(d^2) scatters in place of products:
-    b* b = sum_k |v_k|^2 |c_k><c_k| is diagonal, and so is
-    b b* = sum_k |v_k|^2 |r_k><r_k| when b's columns are distinct.  An
-    element with a repeated column forms its b b* as a row gather, O(d^2).
+    one call serves a symbolic or a matrix family.  For a matrix family whose
+    every element is a weighted partial permutation b = sum_k v_k |r_k><c_k|
+    (``Operator.partial_map``), b* b = sum_k |v_k|^2 |c_k><c_k| and
+    b b* = sum_k |v_k|^2 |r_k><r_k| are both diagonal, so two scatters onto
+    length-d diagonals take the place of products.
     """
     family = tuple(family)
     forms = [None if isinstance(b, StarPolynomial) else b.partial_map for b in family]
@@ -285,18 +284,13 @@ def star_sums(family) -> tuple:
         sum_star = functools.reduce(operator.add, (b.adjoint() @ b for b in family))
         sum_range = functools.reduce(operator.add, (b @ b.adjoint() for b in family))
         return sum_star, sum_range
-    dim = family[0].dim
-    star = np.zeros(dim)
-    sum_range = np.zeros((dim, dim), dtype=complex)
-    for b, (rows, cols, vals) in zip(family, forms):
+    star_diag, range_diag = np.zeros((2, family[0].dim))
+    for rows, cols, vals in forms:
         weights = (vals.conj() * vals).real
-        np.add.at(star, cols, weights)
-        if _distinct(cols):
-            sum_range[rows, rows] += weights
-        else:
-            sum_range += (b @ b.adjoint()).entries
+        star_diag[cols] += weights
+        range_diag[rows] += weights
     labels = family[0].basis_labels
-    return Operator(np.diag(star), labels), Operator(sum_range, labels)
+    return Operator(np.diag(star_diag), labels), Operator(np.diag(range_diag), labels)
 
 
 # ---------------------------------------------------------------------------

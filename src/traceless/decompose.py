@@ -23,10 +23,11 @@ interior, so the compression does not remove it: the interior residual of
 2 + s1 + s1* on the standard witness at depth 4 is 0.277, and it grows
 with the norm of a.
 
-Cost.  A witness element with at most one nonzero per row (shifts, evaluated
-normal monomials, diagonal elements: every shipped witness) is a weighted
-partial map b = sum_k v_k |r_k><c_k| (``Operator.partial_map``).  Its term of
-phi is a gather, scale and scatter on the nonzero-row block,
+Cost.  A witness element with at most one nonzero per row and per column
+(shifts, evaluated normal monomials, diagonal elements: every shipped
+witness) is a weighted partial permutation b = sum_k v_k |r_k><c_k|
+(``Operator.partial_map``).  Its term of phi is a gather, scale and
+scatter on the nonzero-row block,
 
     phi(a)[r, r] += outer(v, conj(v)) * a[c, c],
 
@@ -42,10 +43,10 @@ Decomposing and verifying are separate steps: a result holds no residual,
 and ``verify_decomposition`` alone forms a - sum_i [x_i, y_i] from the pairs,
 sharing no code with the engine it checks.  It adds each product in place
 with the kernel of ``Operator @`` (``linalg._accumulate``): a partial-map
-left factor makes it a row gather, a partial-map right factor with distinct
-columns a column scatter, each O(d^2), so both products of a standard pair
-(x = b*) cost O(d^2).  Any other product is dense.  What remains is one SVD
-of the residual and one of its interior block.
+left factor makes it a row gather, a partial-map right factor a column
+scatter, each O(d^2), so both products of a standard pair (x = b*) cost
+O(d^2).  Any other product is dense.  What remains is one SVD of the
+residual and one of its interior block.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Everything downstream (witness checks, the decomposition engine, distance
 estimates) consumes operators through this module.  Operators are immutable
 square complex matrices, optionally tagged with word labels when they come
 from a truncated Fock representation.  Every product goes through one
-kernel, ``_accumulate``, which multiplies a weighted partial map
-(``Operator.partial_map``) by a gather or a scatter.
+kernel, ``_accumulate``, which multiplies by a weighted partial
+permutation (``Operator.partial_map``) as a gather or a scatter.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ class Operator:
     basis_labels: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = np.array(self.entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"operator entries must be square, got shape {arr.shape}")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
         if self.basis_labels is not None:
@@ -64,12 +63,13 @@ class Operator:
 
     @cached_property
     def partial_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The operator as a weighted partial map sum_k v_k |r_k><c_k|.
+        """The operator as a weighted partial permutation sum_k v_k |r_k><c_k|.
 
         Returns read-only arrays (rows, cols, vals) with rows strictly
-        increasing, so that entries[rows, cols] = vals and every other entry
-        is zero, or None when some row holds two or more nonzeros.  Shifts,
-        evaluated normal monomials and diagonal operators all have this form.
+        increasing and cols distinct, so that entries[rows, cols] = vals and
+        every other entry is zero, or None when some row or column holds two
+        or more nonzeros.  Shifts, evaluated normal monomials and diagonal
+        operators all have this form.
         """
         return _partial_map(self.entries)
 
@@ -136,26 +136,23 @@ def _partial_map(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     if np.any(np.count_nonzero(nonzero, axis=1) > 1):
         return None
     rows, cols = np.nonzero(nonzero)
+    # np.unique would import numpy.ma, which stays resident
+    if np.bincount(cols).max(initial=0) > 1:
+        return None
     form = rows, cols, a[rows, cols]
     for arr in form:
         arr.flags.writeable = False
     return form
 
 
-def _distinct(cols: np.ndarray) -> bool:
-    # np.unique would import numpy.ma, which stays resident
-    return int(np.bincount(cols).max(initial=0)) <= 1
-
-
 def _accumulate(total: np.ndarray, ufunc, left: Operator, right: Operator) -> None:
     """total = ufunc(total, left @ right), in place.
 
     With left a partial map p = sum_k v_k |r_k><c_k|, row r_k of p m is
-    v_k m[c_k], a row gather.  With right such a p whose columns are distinct,
-    column c_k of m p is m[:, r_k] v_k, a column scatter.  Each is O(d^2),
-    and each entry is one product, as in the dense product, where the other
-    terms are zeros.  With repeated columns an entry of m p sums several
-    products, so that product stays dense, as does any other, O(d^3)."""
+    v_k m[c_k], a row gather.  With right such a p, column c_k of m p is
+    m[:, r_k] v_k, a column scatter.  Each is O(d^2), and each entry is one
+    product, as in the dense product, where the other terms are zeros.  Any
+    other product is dense, O(d^3)."""
     form = left.partial_map
     if form is not None:
         rows, cols, vals = form
@@ -164,7 +161,7 @@ def _accumulate(total: np.ndarray, ufunc, left: Operator, right: Operator) -> No
         total[rows] = ufunc(total[rows], block, out=block)
         return
     form = right.partial_map
-    if form is not None and _distinct(form[1]):
+    if form is not None:
         rows, cols, vals = form
         block = left.entries[:, rows]
         block *= vals
@@ -176,16 +173,16 @@ def _accumulate(total: np.ndarray, ufunc, left: Operator, right: Operator) -> No
 def op_norm(x: Operator | np.ndarray) -> float:
     """Operator (spectral) norm: the largest singular value.
 
-    A matrix, square or not, whose ``_partial_map`` has distinct columns is a
-    weighted partial permutation: its singular values are exactly the moduli
-    of its nonzeros, so the norm is the largest modulus, found in O(size)
-    with no SVD (0.0 for the zero matrix).  Diagonal matrices, such as the
-    sums b* b of partial-map witness elements, take this path.  Any other
-    matrix takes an SVD.  Deterministic for a fixed input.
+    The singular values of a weighted partial permutation (``_partial_map``
+    of a matrix, square or not) are exactly the moduli of its nonzeros, so
+    its norm is the largest modulus, found in O(size) with no SVD (0.0 for
+    the zero matrix).  Diagonal matrices, such as the sums b* b of
+    partial-map witness elements, take this path.  Any other matrix takes an
+    SVD.  Deterministic for a fixed input.
     """
     a = _entries(x)
     form = _partial_map(a)
-    if form is not None and _distinct(form[1]):
+    if form is not None:
         return float(np.abs(form[2]).max(initial=0.0))
     return float(np.linalg.norm(a, 2))
 
@@ -194,10 +191,10 @@ def frobenius_norm(x: Operator | np.ndarray) -> float:
     return float(np.linalg.norm(_entries(x)))
 
 
-def _hermitian_spectrum(x, tol: float, vectors: bool):
+def _hermitian_spectrum(x: Operator, tol: float, vectors: bool):
     """(||x - x*||, the ascending eigenvalues of (x + x*)/2, their
     eigenvectors or None, tol * max(1, largest |eigenvalue|))."""
-    a = _entries(x)
+    a = x.entries
     defect = op_norm(a - a.conj().T)
     h = (a + a.conj().T) / 2
     w, u = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
@@ -223,8 +220,7 @@ def psd_sqrt(x: Operator, tol: float = 1e-9) -> Operator:
     w = np.clip(w, 0.0, None)
     root = (u * np.sqrt(w)) @ u.conj().T
     root = (root + root.conj().T) / 2
-    labels = x.basis_labels if isinstance(x, Operator) else None
-    return Operator(root, labels)
+    return Operator(root, x.basis_labels)
 
 
 def positivity_check(x: Operator, tol: float = 1e-9) -> PositivityReport:

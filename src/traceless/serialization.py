@@ -59,6 +59,7 @@ __all__ = [
     "verification_to_json",
     "estimate_to_json",
     "dumps",
+    "render_envelope",
     "dump_envelope",
 ]
 
@@ -78,25 +79,28 @@ def dumps(obj) -> str:
     return "".join(chunks)
 
 
-def dump_envelope(envelope, artifact, out, artifact_out) -> None:
-    """Write ``dumps(artifact)`` to ``artifact_out`` and ``dumps(envelope)`` to ``out``.
+def render_envelope(envelope, artifact) -> tuple[list[str], list[str]]:
+    """The chunks of ``dumps(artifact)`` and of ``dumps(envelope)``, unwritten.
 
     The artifact is rendered once: wherever the envelope holds the artifact
-    object itself (by identity), its text is spliced in with each line's
-    indent shifted to that depth.  For a large artifact the peak memory stays
-    that of one ``dumps``: the envelope's chunks go out unjoined, and the
-    artifact's text is dropped once spliced, before anything is encoded.
+    object itself (by identity), its chunks are spliced in with each line's
+    indent shifted to that depth.  Nothing is joined, so for a large artifact
+    the peak memory is that of one ``dumps``.
     """
+    artifact_chunks: list[str] = []
+    _encode(artifact, 0, artifact_chunks)
     chunks: list[str] = []
-    _encode(artifact, 0, chunks)
-    rendered = (artifact, "".join(chunks))
-    del chunks
-    artifact_out.write(rendered[1])
-    artifact_out.write("\n")
-    chunks = []
-    _encode(envelope, 0, chunks, rendered)
-    del rendered
+    _encode(envelope, 0, chunks, (artifact, artifact_chunks))
+    artifact_chunks.append("\n")
     chunks.append("\n")
+    return artifact_chunks, chunks
+
+
+def dump_envelope(envelope, artifact, out, artifact_out) -> None:
+    """Write ``dumps(artifact)`` to ``artifact_out`` and ``dumps(envelope)`` to
+    ``out``, both rendered by ``render_envelope`` before either is written."""
+    artifact_chunks, chunks = render_envelope(envelope, artifact)
+    artifact_out.writelines(artifact_chunks)
     out.writelines(chunks)
 
 
@@ -141,9 +145,10 @@ def _float_pair_row(row, level: int) -> str | None:
 
 def _encode(value, level: int, out: list[str], rendered=None) -> None:
     """Append the text of ``value`` at indent ``level``; ``rendered`` is None or
-    an (object, its text at level 0) pair to splice in, not render again."""
+    an (object, its chunks at level 0) pair to splice in, not render again."""
     if rendered is not None and value is rendered[0]:
-        out.append(rendered[1].replace("\n", "\n" + "  " * level))
+        indent = "\n" + "  " * level
+        out.extend(chunk.replace("\n", indent) for chunk in rendered[1])
         return
     text = _scalar(value)
     if text is not None:

@@ -609,6 +609,32 @@ def test_an_out_file_that_cannot_be_opened_is_an_input_error(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_result_that_overflows_is_an_input_error_that_writes_nothing(tmp_path, capsys):
+    """A 1.5e308 entry makes the star sums infinite, so the result cannot be
+    encoded: the run prints an input-error envelope and leaves no --out file."""
+    wfile, afile, dfile = (tmp_path / name for name in ("w.json", "a.json", "d.json"))
+    run_cli(capsys, "witness-gen", "--standard", "2", "--depth", "2", "--out", str(wfile))
+    run_cli(capsys, "eval", "--expr", "s1 + s1*", "--n", "2", "--depth", "2", "--out", str(afile))
+    run_cli(capsys, "decompose", "--a", str(afile), "--witness", str(wfile), "--out", str(dfile))
+    witness = json.loads(wfile.read_text())
+    witness["elements"][0]["entries"][1][0] = [1.5e308, 0.0]
+    wfile.write_text(json.dumps(witness))
+    report = json.loads(dfile.read_text())
+    report["a"]["entries"][0][:2] = [[1.5e308, 0.0]] * 2
+    dfile.write_text(json.dumps(report))
+    vfile = tmp_path / "v.json"
+    for argv in (["witness-check", str(wfile)], ["verify", "--report", str(dfile), "--out", str(vfile)]):
+        code, envelope, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert envelope["error"] == {
+            "code": "input-error",
+            "message": "Out of range float values are not JSON compliant: inf",
+        }
+        assert "result" not in envelope
+    assert not vfile.exists()
+
+
 # each error class's exit code, as the cli module docstring and the README give it
 EXIT_STATUS = {
     errors.DimensionMismatch: 2,

@@ -288,12 +288,13 @@ def test_commutator_sum_is_c_minus_phi_c_on_the_interior_rows(case, seed):
     assert np.max(np.abs((lhs - rhs)[keep])) <= 1e-12 * np.max(np.abs(c))
 
 
-# Weighted partial maps (at most one nonzero per row) and dense matrices, for
-# the structured star sums, operator norms and verification.  A "partial"
-# map's columns come from a drawn pool of indices, so a small pool repeats
-# them; a "distinct" one is a weighted partial permutation; a drawn share of
-# either's weights is zero.  Sums of products are compared relative to
-# sum ||x||_F ||y||_F, which bounds every entry of the products.
+# Matrices with at most one nonzero per row, and dense matrices, for the
+# structured star sums, operator norms and verification.  A "partial"
+# matrix's columns come from a drawn pool of indices, so a small pool repeats
+# them and the matrix is not a partial map; a "distinct" one is a weighted
+# partial permutation; a drawn share of either's weights is zero.  Sums of
+# products are compared relative to sum ||x||_F ||y||_F, which bounds every
+# entry of the products.
 STRUCTURED_TOL = 1e-12
 
 
@@ -318,6 +319,21 @@ def _matrices(draw, dim):
 
 
 _families = st.integers(1, 40).flatmap(lambda d: st.lists(_matrices(d), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(_matrices))
+def test_partial_map_is_the_weighted_partial_permutation_form(m):
+    nonzero = m.entries != 0
+    permutation = nonzero.sum(axis=1).max() <= 1 and nonzero.sum(axis=0).max() <= 1
+    assert (m.partial_map is not None) == permutation
+    if permutation:
+        rows, cols, vals = m.partial_map
+        assert np.all(np.diff(rows) > 0)
+        assert np.array_equal(m.entries[rows, cols], vals)
+        rest = m.entries.copy()
+        rest[rows, cols] = 0
+        assert not np.any(rest)
 
 
 def _frobenius(m) -> float:

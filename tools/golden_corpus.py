@@ -512,6 +512,12 @@ def build(corpus: Corpus) -> None:
     write("d-pair-no-x.json", no_x)
     run("verify-pair-missing-x", "verify", "--report", "d-pair-no-x.json")
 
+    # a result that cannot be encoded is an input-error: the star sums of a
+    # 1.5e308 entry overflow, so eta1 is infinite
+    tampered("w-standard-d3.json", "w-overflow.json", ["elements", 0, "entries", 1, 0],
+             [1.5e308, 0.0])
+    run("check-overflow", "witness-check", "w-overflow.json")
+
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
