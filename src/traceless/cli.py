@@ -281,7 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dim", type=int, default=None, help="dimension for an empty family; else the generators'"
     )
-    p.add_argument("--polish", type=int, default=200, help="at most this many operator-norm polish steps")
+    p.add_argument(
+        "--polish", type=int, default=200, help="at most this many operator-norm polish steps"
+    )
     p.add_argument(
         "--interior-length", type=int, default=None, help="compress to words of length <= K"
     )

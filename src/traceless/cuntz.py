@@ -18,6 +18,12 @@ shift w -> iw (killing words of maximal length).  Evaluation there turns
 symbolic identities into concrete matrices, exactly on the interior and
 with controlled defects at the length-L boundary.
 
+The public constructor ``StarPolynomial(n, terms)`` checks every letter of
+every word, as do the parser and the JSON readers that call it.  The
+module's own arithmetic (``add``, ``multiply``, ``multiply_scalar``,
+``adjoint`` and ``diagonal_sqrt``) builds its results from words that were
+already checked, so it trusts them and only prunes.
+
 ``StarPolynomial`` and ``linalg.Operator`` share one operator syntax (``+``,
 ``-``, scalar ``*``, ``.adjoint()``, and ``@`` for the product, which on a
 StarPolynomial is the same product as ``*``), so code such as ``star_sums``
@@ -101,10 +107,32 @@ def _check_word(word: Word, n: int) -> Word:
     return word
 
 
+def _pruned(terms: dict) -> dict:
+    """``terms`` with each coefficient as 0j + coef (a -0.0 part becomes
+    +0.0), less those of modulus <= PRUNE_TOL.  Raises ValueError for a
+    coefficient whose modulus is not a finite float."""
+    kept = {}
+    for key, coef in terms.items():
+        coef = 0j + coef
+        try:
+            modulus = abs(coef)
+        except OverflowError:
+            modulus = math.inf
+        if not modulus <= PRUNE_TOL:  # a NaN modulus lands here too
+            if not modulus < math.inf:
+                raise ValueError(f"coefficient {coef!r} of term {key} has no finite modulus")
+            kept[key] = coef
+    return kept
+
+
 class StarPolynomial:
     """Normal-form element: finite map (mu, nu) -> coefficient for s_mu s_nu*.
 
-    Raises ValueError for a coefficient whose modulus is not a finite float."""
+    The constructor merges repeated word pairs and checks every letter of
+    every word (IndexOutOfRange outside 1..n).  Results of the module's own
+    arithmetic come from ``_trusted``, which skips the word check.  Both
+    prune by ``_pruned``: ValueError for a coefficient whose modulus is not a
+    finite float."""
 
     __slots__ = ("n", "_terms")
 
@@ -117,17 +145,17 @@ class StarPolynomial:
         for (mu, nu), coef in items:
             key = (_check_word(mu, self.n), _check_word(nu, self.n))
             merged[key] = merged.get(key, 0j) + complex(coef)
-        kept = {}
-        for key, coef in merged.items():
-            try:
-                modulus = abs(coef)
-            except OverflowError:
-                modulus = math.inf
-            if not modulus <= PRUNE_TOL:  # a NaN modulus lands here too
-                if not modulus < math.inf:
-                    raise ValueError(f"coefficient {coef!r} of term {key} has no finite modulus")
-                kept[key] = coef
-        self._terms = kept
+        self._terms = _pruned(merged)
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "StarPolynomial":
+        """The element with ``terms``, a dict keyed by pairs of words over
+        1..n as tuples of ints, pruned but not checked: for results of this
+        module's arithmetic on checked elements."""
+        p = cls.__new__(cls)
+        p.n = n
+        p._terms = _pruned(terms)
+        return p
 
     @property
     def terms(self) -> dict[tuple[Word, Word], complex]:
@@ -202,12 +230,12 @@ def zero_poly(n: int) -> StarPolynomial:
 
 def gen(n: int, i: int) -> StarPolynomial:
     """The generator s_i."""
-    return StarPolynomial(n, {(_check_word((i,), n), ()): 1.0})
+    return StarPolynomial(n, {((i,), ()): 1.0})
 
 
 def word_isometry(n: int, word: Word) -> StarPolynomial:
     """s_w for a word w (the empty word gives the unit)."""
-    return StarPolynomial(n, {(_check_word(word, n), ()): 1.0})
+    return StarPolynomial(n, {(word, ()): 1.0})
 
 
 def vacuum_projection(n: int) -> StarPolynomial:
@@ -223,12 +251,12 @@ def add(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
     terms = dict(p._terms)
     for key, coef in q._terms.items():
         terms[key] = terms.get(key, 0j) + coef
-    return StarPolynomial(p.n, terms)
+    return StarPolynomial._trusted(p.n, terms)
 
 
 def multiply_scalar(p: StarPolynomial, scalar) -> StarPolynomial:
     scalar = complex(scalar)
-    return StarPolynomial(p.n, {key: coef * scalar for key, coef in p._terms.items()})
+    return StarPolynomial._trusted(p.n, {key: coef * scalar for key, coef in p._terms.items()})
 
 
 def multiply(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
@@ -246,11 +274,11 @@ def multiply(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
                     continue
                 key = (alpha, beta + nu[len(mu):])
             terms[key] = terms.get(key, 0j) + c1 * c2
-    return StarPolynomial(p.n, terms)
+    return StarPolynomial._trusted(p.n, terms)
 
 
 def adjoint(p: StarPolynomial) -> StarPolynomial:
-    return StarPolynomial(
+    return StarPolynomial._trusted(
         p.n, {(nu, mu): coef.conjugate() for (mu, nu), coef in p._terms.items()}
     )
 
@@ -307,9 +335,10 @@ def star_sums(family) -> tuple:
 # scalar multiplies the product after it, with or without a '*': "2*s1 s2",
 # "2 s1 s2" and "(1+2i) s1" are scalar multiples, "1 s1" is s1.  Later in a
 # term '1' and a complex scalar are factors, as in "s1 1" and "s1 (1+2i)";
-# any other number there is an error.  The leading sign is optional.  Whitespace is ignored, also inside a complex scalar
-# "( a + b i )", which the tokenizer reads as one token, so the parser needs
-# one token of lookahead.
+# any other number there is an error.  The leading sign is optional.
+# Whitespace is ignored, also inside a complex scalar "( a + b i )", which
+# the tokenizer reads as one token, so the parser needs one token of
+# lookahead.
 # ---------------------------------------------------------------------------
 
 _NUMBER = r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -699,4 +728,5 @@ def diagonal_sqrt(p: StarPolynomial, tol: float = 1e-9) -> StarPolynomial:
         parent = roots.get(node[:-1], 0.0) if node else 0.0
         delta = value - parent if node else value
         terms[(node, node)] = complex(delta)
-    return StarPolynomial(p.n, terms)
+    # the nodes are prefixes of the checked words of p
+    return StarPolynomial._trusted(p.n, terms)

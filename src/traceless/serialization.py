@@ -60,7 +60,6 @@ __all__ = [
     "estimate_to_json",
     "dumps",
     "render_envelope",
-    "dump_envelope",
 ]
 
 
@@ -94,14 +93,6 @@ def render_envelope(envelope, artifact) -> tuple[list[str], list[str]]:
     artifact_chunks.append("\n")
     chunks.append("\n")
     return artifact_chunks, chunks
-
-
-def dump_envelope(envelope, artifact, out, artifact_out) -> None:
-    """Write ``dumps(artifact)`` to ``artifact_out`` and ``dumps(envelope)`` to
-    ``out``, both rendered by ``render_envelope`` before either is written."""
-    artifact_chunks, chunks = render_envelope(envelope, artifact)
-    artifact_out.writelines(artifact_chunks)
-    out.writelines(chunks)
 
 
 def _scalar(value) -> str | None:

@@ -83,6 +83,8 @@ class WitnessFamily:
     and eta1_interior = ||(sum b_i* b_i - 1) p||, p the projection onto the
     interior.  eta1 and eta2 come from ``_norm``, so ``valid`` (eta1 <= tol,
     eta2 < 1 - tol) never rests on a lower bound; it uses the unmasked eta1.
+    Raises ValueError, naming the norm, where eta1 or eta2 is not finite (a
+    matrix element whose squared entries overflow).
     """
 
     elements: tuple
@@ -99,10 +101,11 @@ class WitnessFamily:
         if symbolic:
             object.__setattr__(self, "degree", max(b.degree for b in family))
         mask = interior_for_degree(None if symbolic else family[0].basis_labels, self.degree)
-        sum_star, sum_range = star_sums(family)
-        defect = sum_star - _one(sum_star)
-        eta1 = _norm(defect).value
-        eta2 = _norm(sum_range).value
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            sum_star, sum_range = star_sums(family)
+            defect = sum_star - _one(sum_star)
+        eta1 = _finite_norm(defect, "eta1 = ||sum b_i* b_i - 1||")
+        eta2 = _finite_norm(sum_range, "eta2 = ||sum b_i b_i*||")
         # eta2 must sit strictly below 1; the tol guard band keeps rounding at
         # the critical boundary (e.g. an exactly-critical family with eta2 = 1)
         # from flipping the verdict
@@ -165,6 +168,16 @@ def _norm(x) -> NormEstimate:
     if isinstance(x, StarPolynomial):
         return cuntz.symbolic_norm(x)
     return NormEstimate(op_norm(x), True)
+
+
+def _finite_norm(x, name: str) -> float:
+    """The value of ``_norm(x)``; ValueError naming the witness norm ``name``
+    where it is not finite.  A matrix with a non-finite entry takes no SVD."""
+    if isinstance(x, StarPolynomial) or np.isfinite(x.entries).all():
+        value = _norm(x).value
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"witness norm {name} is not finite")
 
 
 def check_witness(family, tol: float = 1e-10, degree: int | None = None) -> WitnessFamily:

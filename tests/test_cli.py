@@ -609,10 +609,11 @@ def test_an_out_file_that_cannot_be_opened_is_an_input_error(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_result_that_overflows_is_an_input_error_that_writes_nothing(tmp_path, capsys):
-    """A 1.5e308 entry makes the star sums infinite, so the result cannot be
-    encoded: the run prints an input-error envelope and leaves no --out file."""
+    """A 1.5e308 entry makes the star sums infinite, which the witness refuses
+    by name, and a report's residual norm infinite, which JSON cannot hold:
+    each run prints an input-error envelope and leaves no --out file."""
     wfile, afile, dfile = (tmp_path / name for name in ("w.json", "a.json", "d.json"))
     run_cli(capsys, "witness-gen", "--standard", "2", "--depth", "2", "--out", str(wfile))
     run_cli(capsys, "eval", "--expr", "s1 + s1*", "--n", "2", "--depth", "2", "--out", str(afile))
@@ -624,13 +625,16 @@ def test_a_result_that_overflows_is_an_input_error_that_writes_nothing(tmp_path,
     report["a"]["entries"][0][:2] = [[1.5e308, 0.0]] * 2
     dfile.write_text(json.dumps(report))
     vfile = tmp_path / "v.json"
-    for argv in (["witness-check", str(wfile)], ["verify", "--report", str(dfile), "--out", str(vfile)]):
+    for argv, message in (
+        (["witness-check", str(wfile)], "witness norm eta1 = ||sum b_i* b_i - 1|| is not finite"),
+        (
+            ["verify", "--report", str(dfile), "--out", str(vfile)],
+            "Out of range float values are not JSON compliant: inf",
+        ),
+    ):
         code, envelope, _ = run_cli(capsys, *argv)
         assert code == 1
-        assert envelope["error"] == {
-            "code": "input-error",
-            "message": "Out of range float values are not JSON compliant: inf",
-        }
+        assert envelope["error"] == {"code": "input-error", "message": message}
         assert "result" not in envelope
     assert not vfile.exists()
 

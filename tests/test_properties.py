@@ -6,6 +6,7 @@ is exact, so equalities there are exact rather than within a tolerance.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -24,9 +25,14 @@ from traceless import (
 )
 from traceless.cuntz import (
     PRUNE_TOL,
+    add,
+    adjoint,
     commutator,
+    diagonal_sqrt,
     equals,
     interior_for_degree,
+    multiply,
+    multiply_scalar,
     star_sums,
     symbolic_norm,
 )
@@ -173,6 +179,37 @@ def test_product_is_associative_and_reversed_by_the_adjoint(pqr):
     p, q, r = pqr
     assert _same((p @ q) @ r, p @ (q @ r))
     assert _same((p @ q).adjoint(), q.adjoint() @ p.adjoint())
+
+
+def _signed_terms(p) -> list:
+    """p's terms in order, each coefficient as its two parts and their signs."""
+    return [
+        (key, c.real, math.copysign(1.0, c.real), c.imag, math.copysign(1.0, c.imag))
+        for key, c in p._terms.items()
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[polys(n, GAUSSIAN, 3, 5)] * 3)), GAUSSIAN)
+# the adjoint of 2 is 2-0j and -1 * 2i is -0-2j: the constructor makes both zeros +0.0
+@example((StarPolynomial(2, {((1,), ()): 2}),) * 2 + (StarPolynomial(2, {((2,), ()): 2j}),), -1)
+def test_arithmetic_results_are_the_normal_forms_the_constructor_gives(pqr, scalar):
+    """Results of the module's arithmetic skip the constructor's word check;
+    they must still equal, bit for bit and in order, what it would give."""
+    p, q, r = pqr
+    # a combination of word projections with a nonnegative profile
+    positive = StarPolynomial(r.n, [((mu, mu), abs(c)) for (mu, _), c in r.terms.items()])
+    results = [
+        multiply(p, q),
+        add(p, q),
+        multiply_scalar(p, scalar),
+        multiply_scalar(r, scalar),
+        adjoint(p),
+        adjoint(r),
+        diagonal_sqrt(positive),
+    ]
+    for result in results:
+        assert _signed_terms(result) == _signed_terms(StarPolynomial(result.n, result.terms))
 
 
 @st.composite

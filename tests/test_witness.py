@@ -77,6 +77,21 @@ def test_check_witness_errors():
         check_witness([Operator(np.eye(2)), Operator(np.eye(3))])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "entries",
+    [np.diag([1.5e308, 1.0, 1.0]), np.array([[1e200, -1e200, 0], [1e200, 1e200, 0], [0, 0, 1]])],
+    ids=["partial-map", "dense"],
+)
+def test_a_family_whose_star_sums_overflow_is_refused_by_name(entries, capfd):
+    """The dense sums hold NaNs too, on which an SVD prints LAPACK complaints
+    on the process's stdout; the family is refused before any SVD."""
+    family = [Operator(entries), Operator(np.eye(3))]
+    with pytest.raises(ValueError, match=r"^witness norm eta1 = \|\|sum b_i\* b_i - 1\|\| is not"):
+        check_witness(family)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_built_toeplitz_witness_evaluated_at_L4():
     witness = build_witness(toeplitz_candidate_family(2))
     realized = evaluate_witness(witness, 4)

@@ -512,8 +512,8 @@ def build(corpus: Corpus) -> None:
     write("d-pair-no-x.json", no_x)
     run("verify-pair-missing-x", "verify", "--report", "d-pair-no-x.json")
 
-    # a result that cannot be encoded is an input-error: the star sums of a
-    # 1.5e308 entry overflow, so eta1 is infinite
+    # the star sums of a 1.5e308 entry overflow, so eta1 is infinite: an
+    # input-error that names the norm
     tampered("w-standard-d3.json", "w-overflow.json", ["elements", 0, "entries", 1, 0],
              [1.5e308, 0.0])
     run("check-overflow", "witness-check", "w-overflow.json")
