@@ -9,8 +9,8 @@ be chained.
 Exit codes: 0 success, 2 an invalid witness (its report still emitted) or a
 domain error, 1 an I/O, JSON or expression error.  Every error leaves
 ``main`` by one arm: a ``TracelessError`` with its code and ``exit_status``,
-an ``OSError`` or ``ValueError`` as "input-error" with 1, a result that JSON
-cannot hold (an infinite norm) among them.  A flag value that
+an ``OSError`` or ``ValueError`` as "input-error" with 1, among them a norm or
+matrix that is not finite, which ``linalg`` refuses by name.  A flag value that
 argparse refuses, a non-finite ``--tol`` or ``--eps`` and a ``--eps`` that is
 not positive among them, exits 2 with its usage message on stderr and
 nothing on stdout.

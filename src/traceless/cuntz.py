@@ -304,19 +304,21 @@ def star_sums(family) -> tuple:
     every element is a weighted partial permutation b = sum_k v_k |r_k><c_k|
     (``Operator.partial_map``), b* b = sum_k |v_k|^2 |c_k><c_k| and
     b b* = sum_k |v_k|^2 |r_k><r_k| are both diagonal, so two scatters onto
-    length-d diagonals take the place of products.
+    length-d diagonals take the place of products.  A sum that overflows holds
+    infinities or NaNs, with no warning, for the caller to refuse by name.
     """
     family = tuple(family)
     forms = [None if isinstance(b, StarPolynomial) else b.partial_map for b in family]
-    if any(form is None for form in forms) or len({b.dim for b in family}) > 1:
-        sum_star = functools.reduce(operator.add, (b.adjoint() @ b for b in family))
-        sum_range = functools.reduce(operator.add, (b @ b.adjoint() for b in family))
-        return sum_star, sum_range
-    star_diag, range_diag = np.zeros((2, family[0].dim))
-    for rows, cols, vals in forms:
-        weights = (vals.conj() * vals).real
-        star_diag[cols] += weights
-        range_diag[rows] += weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        if any(form is None for form in forms) or len({b.dim for b in family}) > 1:
+            sum_star = functools.reduce(operator.add, (b.adjoint() @ b for b in family))
+            sum_range = functools.reduce(operator.add, (b @ b.adjoint() for b in family))
+            return sum_star, sum_range
+        star_diag, range_diag = np.zeros((2, family[0].dim))
+        for rows, cols, vals in forms:
+            weights = (vals.conj() * vals).real
+            star_diag[cols] += weights
+            range_diag[rows] += weights
     labels = family[0].basis_labels
     return Operator(np.diag(star_diag), labels), Operator(np.diag(range_diag), labels)
 

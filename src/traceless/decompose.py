@@ -67,6 +67,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .linalg import Operator, _accumulate, op_norm, positivity_check, psd_sqrt
+from .linalg import _lapack, frobenius_norm  # the numeric seam
 from .witness import WitnessFamily
 
 __all__ = [
@@ -174,7 +175,7 @@ def solve_psi_neumann(
     if eta >= 1.0:
         raise NotContractive(f"eta2 = {eta!r} >= 1")
     ratio = eta / (1.0 - eta)
-    norm_a = float(np.linalg.norm(a.entries))
+    norm_a = frobenius_norm(a, "||a||_F")
     _check_iteration_cap(eta, norm_a, eps)
     psi = a.entries.copy()
     term = a
@@ -186,7 +187,7 @@ def solve_psi_neumann(
         psi += term.entries
         iterations += 1
         prior *= eta
-        tail = min(prior, ratio * float(np.linalg.norm(term.entries)))
+        tail = min(prior, ratio * frobenius_norm(term, "Neumann term ||phi^k(a)||_F"))
     return Operator(psi, a.basis_labels), iterations, tail
 
 
@@ -211,7 +212,7 @@ def solve_psi_direct(a: Operator, witness: WitnessFamily) -> Operator:
     system = np.eye(dim * dim, dtype=complex)
     for b in witness.elements:
         system -= np.kron(b.entries.conj(), b.entries)
-    vec = np.linalg.solve(system, a.entries.flatten(order="F"))
+    vec = _lapack("solve", "direct solve of (Id - phi) X = a", system, a.entries.flatten(order="F"))
     return Operator(vec.reshape((dim, dim), order="F"), a.basis_labels)
 
 
@@ -304,9 +305,9 @@ def verify_decomposition(a, pairs, interior_mask: np.ndarray | None = None) -> V
         _accumulate(total, np.subtract, pair.y, pair.x)
     trace_defect = float(abs(np.trace(total)))
     residual = np.subtract(a.entries, total, out=total)
-    norm = interior = op_norm(residual)
+    norm = interior = op_norm(residual, "residual norm ||a - sum_i [x_i, y_i]||")
     if interior_mask is not None:
         keep = interior_indices(interior_mask, a.dim)
-        interior = op_norm(residual[np.ix_(keep, keep)])
+        interior = op_norm(residual[np.ix_(keep, keep)], "interior residual norm")
     return VerificationReport(norm, interior, trace_defect)
 

@@ -5,7 +5,8 @@ estimates) consumes operators through this module.  Operators are immutable
 square complex matrices, optionally tagged with word labels when they come
 from a truncated Fock representation.  Every product goes through one
 kernel, ``_accumulate``, which multiplies by a weighted partial
-permutation (``Operator.partial_map``) as a gather or a scatter.
+permutation (``Operator.partial_map``) as a gather or a scatter.  Every
+LAPACK call and Frobenius norm of the package is made here, under ``_finite``.
 """
 
 from __future__ import annotations
@@ -126,10 +127,6 @@ def zero(dim: int, basis_labels: tuple[str, ...] | None = None) -> Operator:
     return Operator(np.zeros((dim, dim), dtype=complex), basis_labels)
 
 
-def _entries(x) -> np.ndarray:
-    return x.entries if isinstance(x, Operator) else np.asarray(x, dtype=complex)
-
-
 def _partial_map(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """``Operator.partial_map`` of a matrix, square or not."""
     nonzero = a != 0
@@ -170,7 +167,15 @@ def _accumulate(total: np.ndarray, ufunc, left: Operator, right: Operator) -> No
     ufunc(total, left.entries @ right.entries, out=total)
 
 
-def op_norm(x: Operator | np.ndarray) -> float:
+def _finite(name: str, *values) -> None:
+    """The one finiteness rule: ValueError "<name> is not finite", naming the
+    caller's quantity, unless each value (array or number) is finite."""
+    for value in values:
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} is not finite")
+
+
+def op_norm(x: Operator | np.ndarray, name: str = "operator norm") -> float:
     """Operator (spectral) norm: the largest singular value.
 
     The singular values of a weighted partial permutation (``_partial_map``
@@ -178,26 +183,45 @@ def op_norm(x: Operator | np.ndarray) -> float:
     its norm is the largest modulus, found in O(size) with no SVD (0.0 for
     the zero matrix).  Diagonal matrices, such as the sums b* b of
     partial-map witness elements, take this path.  Any other matrix takes an
-    SVD.  Deterministic for a fixed input.
+    SVD.  Deterministic for a fixed input.  Under ``_finite``, naming ``name``.
     """
-    a = _entries(x)
+    a = x.entries if isinstance(x, Operator) else np.asarray(x, dtype=complex)
+    _finite(name, a)
     form = _partial_map(a)
-    if form is not None:
-        return float(np.abs(form[2]).max(initial=0.0))
-    return float(np.linalg.norm(a, 2))
+    value = float(np.abs(form[2]).max(initial=0.0) if form is not None else np.linalg.norm(a, 2))
+    _finite(name, value)
+    return value
 
 
-def frobenius_norm(x: Operator | np.ndarray) -> float:
-    return float(np.linalg.norm(_entries(x)))
+def frobenius_norm(x: Operator | np.ndarray, name: str = "Frobenius norm") -> float:
+    """||x||_F in the dtype of x, under ``_finite``.  A sum of squares that
+    overflows is formed again scaled by the largest modulus, as LAPACK's nrm2 does."""
+    a = x.entries if isinstance(x, Operator) else np.asarray(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        value = float(np.linalg.norm(a))
+        if np.isinf(value):
+            scale = np.abs(a).max()
+            value = float(scale * np.linalg.norm(a / scale))
+    _finite(name, value)
+    return value
+
+
+def _lapack(routine: str, name: str, *args, **kwargs):
+    """``np.linalg.<routine>(*args, **kwargs)``, its arguments and results under ``_finite``."""
+    _finite(name, *args)
+    result = getattr(np.linalg, routine)(*args, **kwargs)
+    _finite(name, *(result if isinstance(result, tuple) else (result,)))
+    return result
 
 
 def _hermitian_spectrum(x: Operator, tol: float, vectors: bool):
     """(||x - x*||, the ascending eigenvalues of (x + x*)/2, their
     eigenvectors or None, tol * max(1, largest |eigenvalue|))."""
-    a = x.entries
-    defect = op_norm(a - a.conj().T)
+    a, name = x.entries, "Hermitian part (x + x*)/2"
+    _finite(name, a)
+    defect = op_norm(a - a.conj().T, "Hermitian defect ||x - x*||")
     h = (a + a.conj().T) / 2
-    w, u = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    w, u = _lapack("eigh", name, h) if vectors else (_lapack("eigvalsh", name, h), None)
     return defect, w, u, tol * max(1.0, -float(w[0]), float(w[-1]))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cuntz import interior_indices, star_sums
 from .errors import DimensionMismatch, EmptyFamily
-from .linalg import Operator, frobenius_norm, op_norm
+from .linalg import Operator, _finite, _lapack, frobenius_norm, op_norm
 
 __all__ = [
     "CommutatorSpanFamily",
@@ -64,6 +64,8 @@ class CommutatorSpanFamily:
 class DistanceEstimate:
     """lower_bound <= dist(1, span{c_i}) <= opnorm_residual.
 
+    ``lower_bound`` holds when tr(rho c_i) = 0 for every i, which a kept rho
+    meets only to within FEASIBILITY_TOL (relative; ``_Dual.bound``).
     ``rho`` is the dual functional that gives ``lower_bound`` (None when no
     seed gave a bound, and ``lower_bound`` is 0.0).  It is kept in memory
     only, so that a caller can check the bound, and takes no part in ``==``.
@@ -79,7 +81,10 @@ class DistanceEstimate:
 def commutator_span_family(generators, dim: int | None = None) -> CommutatorSpanFamily:
     """Derive the span elements of generators on one basis (ValueError for
     different basis labels); ``dim`` is needed for an empty family, and
-    otherwise must be the generators' dimension."""
+    otherwise must be the generators' dimension.  ValueError for a ``dim`` below
+    1, and, naming its index, for a generator whose star sums are not finite."""
+    if dim is not None and dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
     generators = tuple(generators)
     if not generators:
         if dim is None:
@@ -92,8 +97,9 @@ def commutator_span_family(generators, dim: int | None = None) -> CommutatorSpan
         if a.basis_labels != generators[0].basis_labels:
             raise ValueError("generators have different basis labels")
     span = []
-    for a in generators:
+    for i, a in enumerate(generators):
         star, rng = star_sums((a,))
+        _finite(f"span element a* a - a a* of generator {i}", star.entries, rng.entries)
         span.append(star - rng)
     return CommutatorSpanFamily(generators, tuple(span), d)
 
@@ -125,7 +131,7 @@ class _Dual:
         matrix is singular; a second pass removes what rounding left."""
         t = np.zeros(len(self.span))
         for _ in range(2):
-            coeffs = np.linalg.lstsq(self.gram, self.inner(x), rcond=None)[0]
+            coeffs = _lapack("lstsq", "span projection", self.gram, self.inner(x), rcond=None)[0]
             x = _minus_span(x, coeffs, self.span)
             t += coeffs
         return t, x
@@ -134,7 +140,7 @@ class _Dual:
         """(bound, rho) for a ``project``ed rho, (0.0, None) when it is not
         feasible to FEASIBILITY_TOL or is rounding of a seed of Frobenius
         norm ``seed_norm``."""
-        trace_norm = float(np.abs(np.linalg.eigvalsh(rho)).sum())
+        trace_norm = float(np.abs(_lapack("eigvalsh", "dual rho", rho)).sum())
         if trace_norm <= ROUNDING_LEVEL * seed_norm:
             return 0.0, None
         if np.any(np.abs(self.inner(rho)) > FEASIBILITY_TOL * trace_norm * self.span_norms):
@@ -186,7 +192,7 @@ def commutator_distance(
     best_t, best_op = t, math.inf
     average = np.zeros_like(target)
     for step in itertools.count(1):
-        w, v = np.linalg.eigh(residual)
+        w, v = _lapack("eigh", "residual 1 - sum t_i c_i", residual)
         top = 0 if abs(w[0]) > abs(w[-1]) else -1
         value = abs(float(w[top]))
         if value < best_op:
@@ -202,7 +208,7 @@ def commutator_distance(
             if candidate > lower:
                 lower, rho = candidate, candidate_rho
         grad = -dual.inner(subgradient)
-        norm_grad = float(np.linalg.norm(grad))
+        norm_grad = frobenius_norm(grad, "subgradient")
         if norm_grad < 1e-15:
             break
         t = t - (value - lower) / norm_grad**2 * grad

@@ -44,7 +44,7 @@ import numpy as np
 from . import cuntz
 from .cuntz import NormEstimate, StarPolynomial, fock_truncation, interior_for_degree, star_sums
 from .errors import DimensionMismatch, EmptyFamily, GeneratorMismatch, TraceObstruction
-from .linalg import Operator, identity, op_norm
+from .linalg import Operator, _finite, identity, op_norm
 
 __all__ = [
     "WitnessReport",
@@ -101,11 +101,10 @@ class WitnessFamily:
         if symbolic:
             object.__setattr__(self, "degree", max(b.degree for b in family))
         mask = interior_for_degree(None if symbolic else family[0].basis_labels, self.degree)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            sum_star, sum_range = star_sums(family)
-            defect = sum_star - _one(sum_star)
-        eta1 = _finite_norm(defect, "eta1 = ||sum b_i* b_i - 1||")
-        eta2 = _finite_norm(sum_range, "eta2 = ||sum b_i b_i*||")
+        sum_star, sum_range = star_sums(family)
+        defect = sum_star - _one(sum_star)
+        eta1 = _norm(defect, "witness norm eta1 = ||sum b_i* b_i - 1||").value
+        eta2 = _norm(sum_range, "witness norm eta2 = ||sum b_i b_i*||").value
         # eta2 must sit strictly below 1; the tol guard band keeps rounding at
         # the critical boundary (e.g. an exactly-critical family with eta2 = 1)
         # from flipping the verdict
@@ -163,21 +162,14 @@ def _one(x):
     return identity(x.dim)
 
 
-def _norm(x) -> NormEstimate:
-    """``op_norm`` of a matrix; ``cuntz.symbolic_norm`` of a symbolic element."""
+def _norm(x, name: str) -> NormEstimate:
+    """``op_norm`` of a matrix; ``cuntz.symbolic_norm`` of a symbolic element;
+    either under ``linalg._finite``, naming ``name``."""
     if isinstance(x, StarPolynomial):
-        return cuntz.symbolic_norm(x)
-    return NormEstimate(op_norm(x), True)
-
-
-def _finite_norm(x, name: str) -> float:
-    """The value of ``_norm(x)``; ValueError naming the witness norm ``name``
-    where it is not finite.  A matrix with a non-finite entry takes no SVD."""
-    if isinstance(x, StarPolynomial) or np.isfinite(x.entries).all():
-        value = _norm(x).value
-        if math.isfinite(value):
-            return value
-    raise ValueError(f"witness norm {name} is not finite")
+        estimate = cuntz.symbolic_norm(x)
+        _finite(name, estimate.value)
+        return estimate
+    return NormEstimate(op_norm(x, name), True)
 
 
 def check_witness(family, tol: float = 1e-10, degree: int | None = None) -> WitnessFamily:
@@ -198,8 +190,8 @@ def _stats_and_sum_star(elements) -> tuple[CandidateFamily, object]:
     """``candidate_stats`` together with the sum a_i* a_i it is computed from."""
     family = _family(elements)
     sum_star, sum_range = star_sums(family)
-    t0 = _norm(_one(sum_star) - (sum_star - sum_range))
-    k = _norm(sum_star)
+    t0 = _norm(_one(sum_star) - (sum_star - sum_range), "t0 = ||1 - sum(a_i* a_i - a_i a_i*)||")
+    k = _norm(sum_star, "k = ||sum a_i* a_i||")
     return CandidateFamily(family, t0.value, k.value, t0.exact and k.exact), sum_star
 
 

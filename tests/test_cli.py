@@ -385,6 +385,18 @@ def test_dist_dim_other_than_the_generators_is_a_dimension_mismatch(tmp_path, ca
     assert envelope["config"]["dim"] == 5
 
 
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_dist_dim_below_one_is_an_input_error(tmp_path, capsys, dim):
+    ffile = _family_file(tmp_path, [])
+    code, envelope, _ = run_cli(capsys, "dist", "--family", ffile, "--dim", dim)
+    assert code == 1
+    assert envelope["error"] == {
+        "code": "input-error",
+        "message": f"dimension must be at least 1, got {dim}",
+    }
+    assert "result" not in envelope
+
+
 @pytest.mark.parametrize(
     "argv, value",
     [
@@ -612,8 +624,8 @@ def test_an_out_file_that_cannot_be_opened_is_an_input_error(tmp_path, monkeypat
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_result_that_overflows_is_an_input_error_that_writes_nothing(tmp_path, capsys):
     """A 1.5e308 entry makes the star sums infinite, which the witness refuses
-    by name, and a report's residual norm infinite, which JSON cannot hold:
-    each run prints an input-error envelope and leaves no --out file."""
+    by name, and a report's residual norm infinite, which ``linalg`` refuses
+    by name: each run prints an input-error envelope and leaves no --out file."""
     wfile, afile, dfile = (tmp_path / name for name in ("w.json", "a.json", "d.json"))
     run_cli(capsys, "witness-gen", "--standard", "2", "--depth", "2", "--out", str(wfile))
     run_cli(capsys, "eval", "--expr", "s1 + s1*", "--n", "2", "--depth", "2", "--out", str(afile))
@@ -629,7 +641,7 @@ def test_a_result_that_overflows_is_an_input_error_that_writes_nothing(tmp_path,
         (["witness-check", str(wfile)], "witness norm eta1 = ||sum b_i* b_i - 1|| is not finite"),
         (
             ["verify", "--report", str(dfile), "--out", str(vfile)],
-            "Out of range float values are not JSON compliant: inf",
+            "residual norm ||a - sum_i [x_i, y_i]|| is not finite",
         ),
     ):
         code, envelope, _ = run_cli(capsys, *argv)

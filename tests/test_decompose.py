@@ -173,6 +173,21 @@ def test_neumann_max_iter():
         solve_psi_neumann(identity(2), w, eps=1e-300)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_neumann_solves_an_element_whose_frobenius_squares_overflow(capfd):
+    # ||a||_F = 1.5e308 is finite though its square is not: the a-priori count
+    # is finite, and the nilpotent phi of depth 2 stops at K = 3 with tail 0
+    w = standard_isometry_witness(2, depth=2)
+    entries = np.zeros((7, 7), dtype=complex)
+    entries[0, 0] = 1.5e308
+    a = Operator(entries, w.elements[0].basis_labels)
+    psi, iterations, tail = solve_psi_neumann(a, w)
+    assert (iterations, tail) == (3, 0.0)
+    expected = [1.5e308] + [0.75e308] * 2 + [0.375e308] * 4
+    assert np.diag(psi.entries).real == pytest.approx(expected, rel=1e-15)
+    assert capfd.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.0, -1.0, float("nan")])
 @pytest.mark.parametrize("witness", ["standard", "toeplitz"])
 def test_neumann_refuses_an_eps_that_is_not_positive(toeplitz_witness_L5, witness, eps):

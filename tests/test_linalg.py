@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from traceless import Operator, identity, op_norm, positivity_check, psd_sqrt
+from traceless.linalg import _lapack, frobenius_norm
 from traceless.errors import DimensionMismatch, NotHermitian, NotPositive
 
 from helpers import random_operator
@@ -162,3 +165,111 @@ def test_a_visible_negative_eigenvalue_or_defect_is_refused_at_every_scale(scale
     assert not positivity_check(y).is_hermitian
     with pytest.raises(NotHermitian):
         psd_sqrt(y)
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "traceless"
+
+
+def _numpy_linalg_uses(tree: ast.AST):
+    """Line numbers where a module names ``np.linalg`` or ``numpy.linalg``,
+    as an attribute or in an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.linalg") for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            if node.module.startswith("numpy.linalg") or (
+                node.module == "numpy" and any(alias.name == "linalg" for alias in node.names)
+            ):
+                yield node.lineno
+
+
+def test_only_linalg_calls_numpy_linalg():
+    """Every LAPACK call and Frobenius norm goes through ``linalg``, where one
+    finiteness rule guards it."""
+    uses = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        for line in _numpy_linalg_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert uses == []
+
+
+def test_the_seam_test_sees_every_spelling():
+    source = """
+import numpy.linalg
+from numpy import linalg
+from numpy.linalg import norm
+x = np.linalg.norm(a)
+y = numpy.linalg.eigh(a)
+z = linalg.norm(a)
+"""
+    # the last line's ``linalg`` is flagged at its import
+    assert list(_numpy_linalg_uses(ast.parse(source))) == [2, 3, 4, 5, 6]
+
+
+NOT_FINITE = [np.diag([np.nan, 1.0]), np.array([[1.0, np.inf], [0.0, 1.0]])]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entries", NOT_FINITE, ids=["nan", "inf"])
+def test_a_matrix_that_is_not_finite_is_refused_by_name(entries, capfd):
+    """Refused before any LAPACK call, which would print complaints on the
+    process's stdout, and with no warning."""
+    calls = [
+        lambda: op_norm(entries, "q"),
+        lambda: op_norm(Operator(entries + np.eye(2)[::-1]), "q"),  # dense: no partial map
+        lambda: frobenius_norm(entries, "q"),
+        lambda: _lapack("eigh", "q", entries),
+        lambda: _lapack("eigvalsh", "q", entries),
+        lambda: _lapack("solve", "q", entries, np.ones(2)),
+        lambda: _lapack("lstsq", "q", np.eye(2), entries[0], rcond=None),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^q is not finite$"):
+            call()
+    with pytest.raises(ValueError, match=r"^Hermitian part \(x \+ x\*\)/2 is not finite$"):
+        positivity_check(Operator(np.diag([np.inf, 1.0])))
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_result_that_is_not_finite_is_refused_by_name():
+    huge = np.full((2, 2), 1.5e308)
+    for call in (
+        lambda: op_norm(huge, "q"),
+        lambda: frobenius_norm(huge, "q"),
+        lambda: _lapack("eigh", "q", huge),
+        lambda: _lapack("solve", "q", np.array([[1e-300]]), np.array([1e300])),
+    ):
+        with pytest.raises(ValueError, match=r"^q is not finite$"):
+            call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_frobenius_norm_whose_squares_overflow_is_formed_scaled(dtype):
+    entries = np.array([[1.5e308, 0.0], [3e307, -4e307]], dtype=dtype)
+    scale = 1.5e308
+    assert frobenius_norm(entries) == pytest.approx(
+        scale * math.hypot(1.0, 0.2, 4e307 / scale), rel=1e-15
+    )
+    rotated = frobenius_norm(Operator(1j * entries))
+    assert rotated == pytest.approx(frobenius_norm(entries), rel=1e-15)
+
+
+def test_a_frobenius_norm_that_does_not_overflow_keeps_its_bits():
+    rng = np.random.default_rng(90)
+    for dtype in (float, complex):
+        for _ in range(200):
+            x = rng.standard_normal((5, 5)).astype(dtype) * 10.0 ** rng.integers(-150, 150)
+            if dtype is complex:
+                x += 1j * rng.standard_normal((5, 5))
+            assert frobenius_norm(x) == float(np.linalg.norm(x))
+    grad = rng.standard_normal(7)
+    # a real vector keeps its dtype: its complex cast can differ in the last bit
+    assert frobenius_norm(grad) == float(np.linalg.norm(grad))

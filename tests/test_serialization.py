@@ -355,9 +355,9 @@ def _damaged_documents(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_damaged_documents())
-# a junk entry of 1.5e308 in a span family's generator overflows its star
-# sums, which is not an exception (a witness refuses such an entry by name)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# a junk entry of 1.5e308 overflows the star sums of a witness element or a
+# span family's generator, which each reader refuses by name, with no warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_damaged_document_is_read_or_refused_with_a_value_or_domain_error(case):
     reader, document = case
     try:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceless import evaluate, fock_truncation, interior_projection, op_norm
+from traceless import Operator, evaluate, fock_truncation, interior_projection, op_norm
 from traceless.errors import DimensionMismatch, EmptyFamily
 from traceless.tracedist import commutator_distance, commutator_span_family
 from traceless.witness import toeplitz_candidate_family
@@ -217,6 +217,21 @@ def test_one_in_the_span_gives_no_lower_bound_from_rounding():
     check_bracket(estimate, compressed_span(family, mask))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "entries",
+    [np.diag([1.5e308, 1.0, 1.0]), np.array([[1e200, -1e200, 0], [1e200, 1e200, 0], [0, 0, 1]])],
+    ids=["partial-map", "dense"],
+)
+def test_a_generator_whose_star_sums_overflow_is_refused_by_index(entries, capfd):
+    """Refused before its span element is formed (inf - inf) and before any
+    LAPACK call, which would print complaints on the process's stdout."""
+    generators = [Operator(np.eye(3)), Operator(entries)]
+    with pytest.raises(ValueError, match=r"^span element a\* a - a a\* of generator 1 is not"):
+        commutator_span_family(generators)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_full_problem_stops_after_one_eigh(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
@@ -276,6 +291,12 @@ def test_reported_opnorm_is_the_norm_at_the_reported_coefficients():
                          commutator_span_family([random_operator(np.random.default_rng(3), 3)]),
                          interior_mask=np.zeros(3, dtype=bool)),
                      DimensionMismatch, "interior mask has empty range", id="empty-interior"),
+        # an empty family of dimension 0 would bracket the distance inverted,
+        # lower_bound 1.0 above opnorm_residual 0.0
+        pytest.param(lambda: commutator_span_family([], dim=0),
+                     ValueError, "dimension must be at least 1, got 0", id="dim-zero"),
+        pytest.param(lambda: commutator_span_family([], dim=-2),
+                     ValueError, "dimension must be at least 1, got -2", id="dim-negative"),
     ],
 )
 def test_argument_guards(call, error, message):
