@@ -116,12 +116,12 @@ def _cmd_witness_gen(args):
         return 0, {"candidates": artifact}, artifact
     if args.toeplitz is not None:
         witness = build_witness(toeplitz_candidate_family(args.toeplitz), tol=args.tol)
-        if args.depth is not None:
-            witness = evaluate_witness(witness, args.depth, tol=args.tol)
     elif args.standard is not None:
-        witness = standard_isometry_witness(args.standard, depth=args.depth)
+        witness = standard_isometry_witness(args.standard)
     else:
         raise ValueError("choose one of --standard, --toeplitz, --toeplitz-candidates")
+    if args.depth is not None:
+        witness = evaluate_witness(witness, args.depth, tol=args.tol)
     artifact = witness_to_json(witness)
     return 0, {"witness": artifact}, artifact
 

@@ -528,7 +528,8 @@ def poly_to_string(p: StarPolynomial) -> str:
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Words of length <= depth over {1..n}, in length-then-lex order."""
+    """Words of length <= depth over {1..n}, in length-then-lex order, each
+    labelled by its letters' digits (one digit per letter, so n <= 9)."""
 
     n: int
     depth: int
@@ -539,7 +540,7 @@ class FockTruncation:
     def dimension(self) -> int:
         return len(self.words)
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(word_to_string(w) for w in self.words)
 
@@ -547,6 +548,8 @@ class FockTruncation:
 def fock_truncation(n: int, depth: int) -> FockTruncation:
     if n < 1 or depth < 0:
         raise ValueError("need n >= 1 and depth >= 0")
+    if n > 9:
+        raise ValueError(f"Fock labels take one digit per letter, so need n <= 9, got n = {n}")
     words = []
     for length in range(depth + 1):
         words.extend(itertools.product(range(1, n + 1), repeat=length))
@@ -640,7 +643,7 @@ def evaluate_expression(text: str, trunc: FockTruncation) -> Operator:
     at the truncation boundary: for instance "s1* s1" normalizes to 1, but
     the composition v1* v1 is the projection onto words of length < depth.
     """
-    isometries = truncated_isometries(trunc.n, trunc.depth)
+    isometries = [evaluate(gen(trunc.n, i), trunc) for i in range(1, trunc.n + 1)]
     one = Operator(np.eye(trunc.dimension, dtype=complex), trunc.labels)
     return _interpret(_Parser(text).parse(), one, trunc.n, lambda i: isometries[i - 1])
 

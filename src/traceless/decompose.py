@@ -140,18 +140,6 @@ def apply_phi(a, witness: WitnessFamily):
     return Operator(total, a.basis_labels)
 
 
-def _check_iteration_cap(eta: float, norm_a: float, eps: float) -> None:
-    """Raise MaxIterExceeded if the a-priori count, the smallest K with
-    eta^(K+1) * norm_a / (1 - eta) <= eps, exceeds MAX_NEUMANN_ITERATIONS."""
-    bound = eta * norm_a / (1.0 - eta)
-    iterations = 0
-    while bound > eps:
-        if iterations == MAX_NEUMANN_ITERATIONS:
-            raise MaxIterExceeded(f"tail bound still {bound:.3e} after {iterations} iterations")
-        iterations += 1
-        bound *= eta
-
-
 def solve_psi_neumann(
     a: Operator, witness: WitnessFamily, eps: float = 1e-10
 ) -> tuple[Operator, int, float]:
@@ -175,19 +163,21 @@ def solve_psi_neumann(
     if eta >= 1.0:
         raise NotContractive(f"eta2 = {eta!r} >= 1")
     ratio = eta / (1.0 - eta)
-    norm_a = frobenius_norm(a, "||a||_F")
-    _check_iteration_cap(eta, norm_a, eps)
-    psi = a.entries.copy()
-    term = a
-    # the bound sequence of _check_iteration_cap, so K never exceeds its count
-    prior = tail = eta * norm_a / (1.0 - eta)
-    iterations = 0
+    # the a-priori bounds eta^(k+1) ||a||_F / (1 - eta), walked once up to the
+    # first <= eps, so K never exceeds their count
+    priors = [eta * frobenius_norm(a, "||a||_F") / (1.0 - eta)]
+    while priors[-1] > eps:
+        if len(priors) > MAX_NEUMANN_ITERATIONS:
+            raise MaxIterExceeded(
+                f"tail bound still {priors[-1]:.3e} after {MAX_NEUMANN_ITERATIONS} iterations"
+            )
+        priors.append(priors[-1] * eta)
+    psi, term, tail, iterations = a.entries.copy(), a, priors[0], 0
     while tail > eps:
         term = apply_phi(term, witness)
         psi += term.entries
         iterations += 1
-        prior *= eta
-        tail = min(prior, ratio * frobenius_norm(term, "Neumann term ||phi^k(a)||_F"))
+        tail = min(priors[iterations], ratio * frobenius_norm(term, "Neumann term ||phi^k(a)||_F"))
     return Operator(psi, a.basis_labels), iterations, tail
 
 

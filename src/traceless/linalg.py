@@ -3,10 +3,12 @@
 Everything downstream (witness checks, the decomposition engine, distance
 estimates) consumes operators through this module.  Operators are immutable
 square complex matrices, optionally tagged with word labels when they come
-from a truncated Fock representation.  Every product goes through one
-kernel, ``_accumulate``, which multiplies by a weighted partial
-permutation (``Operator.partial_map``) as a gather or a scatter.  Every
-LAPACK call and Frobenius norm of the package is made here, under ``_finite``.
+from a truncated Fock representation.  ``Operator @`` and the products of
+``decompose.verify_decomposition`` go through one kernel, ``_accumulate``,
+which multiplies by a weighted partial permutation (``Operator.partial_map``)
+as a gather or a scatter; ``decompose.apply_phi``'s terms and ``psd_sqrt``'s
+product are formed directly.  Every LAPACK call and Frobenius norm of the
+package is made here, under ``_finite``.
 """
 
 from __future__ import annotations

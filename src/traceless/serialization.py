@@ -4,8 +4,9 @@ Matrices: {"dim": d, "entries": [[[re, im], ...], ...]} row-major, with an
 optional "labels" list of word strings ("" is the vacuum).
 
 Polynomials: {"n": 2, "terms": [{"mu": "12", "nu": "", "re": 0.5, "im": 0.0},
-...]} with words written one generator digit per letter (which limits the
-wire format, not the library, to n <= 9).
+...]} with words written one generator digit per letter, as Fock labels are
+(which limits the wire format and ``cuntz.fock_truncation``, not the symbolic
+library, to n <= 9).
 
 Witnesses: {"backend": "matrix"|"symbolic", "n": count, "elements": [...],
 "report": {"eta1": ..., "eta2": ..., "valid": ...}} plus the optional keys

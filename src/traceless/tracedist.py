@@ -185,7 +185,14 @@ def commutator_distance(
     if not span:
         return DistanceEstimate((), frobenius_norm(target), op_norm(target), 1.0, target)
 
-    dual = _Dual(span)
+    dual, scales = _Dual(span), np.ones(len(span))
+    if not np.isfinite(dual.gram).all():
+        # formed again scaled, as frobenius_norm does: each c_i times the power
+        # of two 2^-e_i that puts max |c_i| in [1/2, 1), which is exact, so the
+        # coefficients found are those of c_i 2^-e_i and are scaled back below
+        scales = np.ldexp(1.0, [-np.frexp(np.abs(c).max())[1] for c in span])
+        span = [s * c for s, c in zip(scales, span)]
+        dual = _Dual(span)
     t, residual = dual.project(target)
     frob = frobenius_norm(residual)
     lower, rho = dual.bound(residual, frobenius_norm(target))
@@ -213,4 +220,4 @@ def commutator_distance(
             break
         t = t - (value - lower) / norm_grad**2 * grad
         residual = _minus_span(target, t, span)
-    return DistanceEstimate(tuple(float(v) for v in best_t), frob, best_op, lower, rho)
+    return DistanceEstimate(tuple(float(v) for v in best_t * scales), frob, best_op, lower, rho)

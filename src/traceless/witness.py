@@ -190,6 +190,8 @@ def _stats_and_sum_star(elements) -> tuple[CandidateFamily, object]:
     """``candidate_stats`` together with the sum a_i* a_i it is computed from."""
     family = _family(elements)
     sum_star, sum_range = star_sums(family)
+    if isinstance(sum_star, Operator):  # refused before inf - inf can warn
+        _finite("sum a_i* a_i or sum a_i a_i*", sum_star.entries, sum_range.entries)
     t0 = _norm(_one(sum_star) - (sum_star - sum_range), "t0 = ||1 - sum(a_i* a_i - a_i a_i*)||")
     k = _norm(sum_star, "k = ||sum a_i* a_i||")
     return CandidateFamily(family, t0.value, k.value, t0.exact and k.exact), sum_star
@@ -213,8 +215,7 @@ def build_witness(candidates, tol: float = 1e-10) -> WitnessFamily:
     stats, sum_star = _stats_and_sum_star(candidates)
     if isinstance(sum_star, Operator) or stats.t0 >= 1.0 - tol:
         raise TraceObstruction(stats.t0)
-    if stats.k <= tol:
-        raise EmptyFamily("candidate family is numerically zero")
+    # k > tol: t0 >= 1 - k, as 1 - X + Y >= (1 - ||X||) 1 for X = sum a*a, Y = sum aa* >= 0
     scale = 1.0 / math.sqrt(stats.k)
     extra = cuntz.diagonal_sqrt(stats.k * _one(sum_star) - sum_star, tol=max(tol, 1e-12))
     elements = [scale * b for b in (*stats.elements, extra)]
@@ -226,17 +227,14 @@ def standard_isometry_witness(n: int, depth: int | None = None) -> WitnessFamily
 
     Symbolically (depth None) the report is eta1 = 0 and eta2 = 1/n up to
     the rounding of the coefficient 1/sqrt(n).  With a depth, the family is
-    realized on the Fock truncation; eta1 then equals 1 at the boundary
+    realized by ``evaluate_witness``; eta1 then equals 1 at the boundary
     while the interior defect vanishes.
     """
     if n < 2:
         raise EmptyFamily("need at least two isometries")
     scale = 1.0 / math.sqrt(n)
-    if depth is None:
-        elements = [cuntz.multiply_scalar(cuntz.gen(n, i), scale) for i in range(1, n + 1)]
-    else:
-        elements = [scale * v for v in cuntz.truncated_isometries(n, depth)]
-    return check_witness(elements, degree=1)
+    witness = check_witness([scale * cuntz.gen(n, i) for i in range(1, n + 1)])
+    return witness if depth is None else evaluate_witness(witness, depth)
 
 
 def toeplitz_candidate_family(J: int) -> list[StarPolynomial]:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 from traceless import Operator, cli, cuntz, errors, fock_truncation, identity, parse_star_poly
 from traceless.cli import main
 from traceless.serialization import dumps, matrix_to_json, poly_to_json
-from traceless.witness import toeplitz_candidate_family
+from traceless.witness import standard_isometry_witness, toeplitz_candidate_family
 
 from helpers import random_hermitian, random_operator
 
@@ -292,6 +293,71 @@ def test_decompose_derives_one_interior(tmp_path, capsys, monkeypatch, witness_l
     assert code == 0
     assert envelope["result"]["decomposition"]["residual_interior_norm"] <= 1e-8
     assert calls == [(2, 2)]
+
+
+def test_eval_compose_evaluates_on_its_one_truncation(capsys, monkeypatch):
+    calls = []
+    truncation = cuntz.fock_truncation
+
+    def counted(n, depth):
+        calls.append((n, depth))
+        return truncation(n, depth)
+
+    monkeypatch.setattr(cuntz, "fock_truncation", counted)
+    argv = ("eval", "--expr", "s1* s1 + s2 s1*", "--n", "2", "--depth", "2", "--compose")
+    code, envelope, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert envelope["result"]["matrix"]["labels"] == list(truncation(2, 2).labels)
+    assert calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("family", [("--standard", "3"), ("--toeplitz", "2")])
+def test_witness_gen_realizes_either_family_by_one_evaluate_witness(capsys, monkeypatch, family):
+    """--depth is applied once, after the family is chosen, and the realized
+    family is checked with --tol: for --standard too, which once ignored it."""
+    assert inspect.getsource(cli._cmd_witness_gen).count("evaluate_witness(") == 1
+    calls = []
+    realize = cli.evaluate_witness
+
+    def counted(witness, depth, tol):
+        calls.append((witness.backend, depth, tol))
+        return realize(witness, depth, tol=tol)
+
+    monkeypatch.setattr(cli, "evaluate_witness", counted)
+    code, envelope, _ = run_cli(capsys, "witness-gen", *family, "--depth", "2", "--tol", "1e-6")
+    assert code == 0
+    assert envelope["result"]["witness"]["backend"] == "matrix"
+    assert calls == [("symbolic", 2, 1e-6)]
+    run_cli(capsys, "witness-gen", *family)
+    assert len(calls) == 1
+
+
+def test_a_fock_truncation_over_ten_generators_names_the_label_rule(capsys):
+    """Once refused as labels "not a length-then-lex Fock basis" that the
+    user never wrote; symbolic n = 10 is still a witness in the library."""
+    code, envelope, _ = run_cli(capsys, "witness-gen", "--standard", "10", "--depth", "2")
+    assert code == 1
+    assert envelope["error"] == {
+        "code": "input-error",
+        "message": "Fock labels take one digit per letter, so need n <= 9, got n = 10",
+    }
+    assert standard_isometry_witness(10).report.valid
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_candidates_whose_star_sums_overflow_leave_stderr_empty(tmp_path, capfd):
+    cfile = tmp_path / "cands.json"
+    elements = [Operator(np.diag([1e200, 1.0, 1.0])), identity(3)]
+    cfile.write_text(
+        json.dumps({"backend": "matrix", "elements": [matrix_to_json(e) for e in elements]})
+    )
+    assert main(["witness-build", "--candidates", str(cfile)]) == 1
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert json.loads(out)["error"] == {
+        "code": "input-error",
+        "message": "sum a_i* a_i or sum a_i a_i* is not finite",
+    }
 
 
 def test_a_witness_file_that_claims_no_eta2_is_decomposed(tmp_path, capsys):

@@ -18,7 +18,14 @@ from traceless import (
     vacuum_projection,
     word_isometry,
 )
-from traceless.cuntz import diagonal_sqrt, star_sums, symbolic_norm, word_from_string
+from traceless import cuntz
+from traceless.cuntz import (
+    diagonal_sqrt,
+    fock_truncation_from_labels,
+    star_sums,
+    symbolic_norm,
+    word_from_string,
+)
 from traceless.errors import (
     GeneratorMismatch,
     IndexOutOfRange,
@@ -245,6 +252,27 @@ def test_truncated_isometries_match_brute_force():
             assert np.array_equal(lib.entries, oracle)
 
 
+def test_fock_labels_are_one_digit_per_letter_and_built_once():
+    trunc = fock_truncation(9, 2)
+    assert trunc.labels is trunc.labels
+    assert len(set(trunc.labels)) == trunc.dimension == 91
+    assert trunc.labels[-1] == "99"
+    assert fock_truncation_from_labels(trunc.labels) == trunc
+    # symbolic arithmetic knows no such limit
+    s10 = parse_star_poly("s10", 10)
+    assert poly_to_string(adjoint(s10) * s10) == "1"
+
+
+def test_evaluate_expression_uses_the_truncation_it_is_given(monkeypatch):
+    trunc = fock_truncation(2, 2)
+    monkeypatch.setattr(cuntz, "fock_truncation", None)
+    composed = evaluate_expression("s1* s1", trunc)
+    # v1* v1 projects onto the words shorter than the depth; s1* s1 is 1
+    assert composed.basis_labels == trunc.labels
+    assert np.array_equal(composed.entries, np.diag([1, 1, 1, 0, 0, 0, 0]))
+    assert np.array_equal(evaluate(parse_star_poly("s1* s1", 2), trunc).entries, np.eye(7))
+
+
 def test_disjoint_ranges():
     vs = truncated_isometries(2, 3)
     cross = vs[0].adjoint() @ vs[1]
@@ -404,6 +432,12 @@ def test_star_sums_agree_across_backends():
                      ValueError, "need at least one generator", id="no-generators"),
         pytest.param(lambda: fock_truncation(2, -1),
                      ValueError, "need n >= 1 and depth >= 0", id="negative-depth"),
+        pytest.param(lambda: fock_truncation(10, 1),
+                     ValueError, "Fock labels take one digit per letter, so need n <= 9, got n = 10",
+                     id="ten-generators"),
+        pytest.param(lambda: evaluate(parse_star_poly("s1", 11), fock_truncation(11, 2)),
+                     ValueError, "Fock labels take one digit per letter, so need n <= 9, got n = 11",
+                     id="eleven-generators"),
         pytest.param(lambda: evaluate(gen(3, 1), fock_truncation(2, 1)),
                      GeneratorMismatch, "3 generators vs truncation over 2",
                      id="evaluate-other-n"),

@@ -26,6 +26,7 @@ from traceless import (
     zero,
 )
 from traceless.cuntz import adjoint, fock_truncation, multiply_scalar, symbolic_norm, zero_poly
+from traceless import decompose as decompose_module
 from traceless.decompose import CommutatorPair
 from traceless.errors import (
     DimensionMismatch,
@@ -163,14 +164,44 @@ def test_neumann_rejects_expansive_witness():
         solve_psi_neumann(identity(3), ones)
 
 
-def test_neumann_max_iter():
+def test_neumann_max_iter(monkeypatch):
     # eta2 = 1 - 1e-6 needs about 7e8 terms to reach eps = 1e-300, far past
     # MAX_NEUMANN_ITERATIONS; the count is refused before any phi is applied
     b = math.sqrt((1 - 1e-6) / 2) * identity(2)
     w = check_witness([b, b])
-    assert w.report.eta2 == pytest.approx(1 - 1e-6, abs=1e-12)
-    with pytest.raises(MaxIterExceeded):
+    eta = w.report.eta2
+    assert eta == pytest.approx(1 - 1e-6, abs=1e-12)
+    bound = eta * math.sqrt(2.0) / (1.0 - eta)
+    for _ in range(decompose_module.MAX_NEUMANN_ITERATIONS):
+        bound *= eta
+    monkeypatch.setattr(decompose_module, "apply_phi", None)
+    with pytest.raises(MaxIterExceeded) as err:
         solve_psi_neumann(identity(2), w, eps=1e-300)
+    assert str(err.value) == f"tail bound still {bound:.3e} after 100000 iterations"
+
+
+def test_neumann_walks_its_a_priori_bounds_once(toeplitz_witness_L5):
+    """The solve replays, bit for bit, the two walks it replaced: a count of
+    the bounds eta^(k+1) ||a||_F / (1 - eta), then the same bounds again as
+    the cap on each step's tail."""
+    assert not hasattr(decompose_module, "_check_iteration_cap")
+    w = toeplitz_witness_L5
+    a = random_hermitian(np.random.default_rng(28), 63, w.elements[0].basis_labels)
+    eta, eps = w.report.eta2, 1e-10
+    psi, iterations, tail = solve_psi_neumann(a, w, eps)
+    ratio, norm_a = eta / (1.0 - eta), np.linalg.norm(a.entries)
+    expected, term = a.entries.copy(), a
+    prior = reference_tail = eta * norm_a / (1.0 - eta)
+    k = 0
+    while reference_tail > eps:
+        term = apply_phi(term, w)
+        expected += term.entries
+        k += 1
+        prior *= eta
+        reference_tail = min(prior, ratio * np.linalg.norm(term.entries))
+    assert (iterations, tail) == (k, reference_tail)
+    assert psi.entries.tobytes() == expected.tobytes()
+    assert iterations <= _a_priori_count(eta, norm_a, eps)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

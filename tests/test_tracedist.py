@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from traceless import Operator, evaluate, fock_truncation, interior_projection, op_norm
 from traceless.errors import DimensionMismatch, EmptyFamily
-from traceless.tracedist import commutator_distance, commutator_span_family
+from traceless.tracedist import _Dual, commutator_distance, commutator_span_family
 from traceless.witness import toeplitz_candidate_family
 
 from helpers import random_operator
@@ -230,6 +230,39 @@ def test_a_generator_whose_star_sums_overflow_is_refused_by_index(entries, capfd
     with pytest.raises(ValueError, match=r"^span element a\* a - a a\* of generator 1 is not"):
         commutator_span_family(generators)
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("length", [None, 1], ids=["full", "interior"])
+def test_entries_near_1e100_are_bracketed_as_their_scaled_copy(length, capfd):
+    """The span element of g is near 1e200, so its Gram matrix is past the
+    float range: it is formed again from the element scaled by a power of
+    two, and the bracket is that of g / 1e100, whose coefficient t answers
+    t / 1e200 for g."""
+    trunc = fock_truncation(1, 2)
+    g = np.zeros((3, 3))
+    g[1, 0], g[2, 1] = 1e100, 2e100
+    large, small = (commutator_span_family([Operator(x, trunc.labels)]) for x in (g, g / 1e100))
+    mask = None if length is None else interior_projection(trunc, length)
+    estimate = commutator_distance(large, interior_mask=mask)
+    reference = commutator_distance(small, interior_mask=mask)
+    check_bracket(estimate, compressed_span(small, mask))
+    assert estimate.lower_bound == pytest.approx(reference.lower_bound, rel=1e-12)
+    assert estimate.opnorm_residual == pytest.approx(reference.opnorm_residual, rel=1e-12)
+    (t,), (t_reference,) = estimate.coefficients, reference.coefficients
+    assert t == pytest.approx(t_reference / 1e200, rel=1e-12, abs=0.0)
+    if mask is None:
+        assert (estimate.lower_bound, estimate.opnorm_residual) == (0.9999999999999994, 1.0)
+    else:
+        assert 0.49 < estimate.lower_bound <= estimate.opnorm_residual < 0.51
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_rho_that_is_not_orthogonal_to_the_span_gives_no_bound():
+    # tr(c rho) = 1 for rho = 1 + c/2; without the feasibility check the
+    # quotient |tr(rho)| / ||rho||_1 would be 1.0
+    c = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    assert _Dual([c]).bound(np.eye(3) + c / 2, 1.0) == (0.0, None)
 
 
 def test_full_problem_stops_after_one_eigh(monkeypatch):

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -12,10 +13,12 @@ from traceless import (
     gen,
     interior_projection,
     multiply,
+    truncated_isometries,
     unit,
     vacuum_projection,
     word_isometry,
 )
+from traceless import witness as witness_module
 from traceless.cuntz import multiply_scalar, zero_poly
 from traceless.errors import (
     DimensionMismatch,
@@ -181,6 +184,25 @@ def test_matrix_candidates_hit_trace_obstruction():
     assert np.linalg.norm(total, 2) >= 1.0 - 1e-9
 
 
+def test_vanishing_symbolic_candidates_are_a_trace_obstruction():
+    # t0 >= 1 - k for any family, so candidates whose k is below tol meet
+    # TraceObstruction before anything could call them numerically zero
+    for scale in (0.0, 1e-12):
+        with pytest.raises(TraceObstruction) as err:
+            build_witness([scale * gen(2, 1), scale * gen(2, 2)])
+        assert err.value.t0 == pytest.approx(1.0, abs=1e-20)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_candidates_whose_star_sums_overflow_are_refused_by_name(capfd):
+    """Refused before t0's subtraction could form inf - inf and warn."""
+    candidates = [Operator(np.diag([1e200, 1.0, 1.0])), Operator(np.eye(3))]
+    for call in (candidate_stats, build_witness):
+        with pytest.raises(ValueError, match=r"^sum a_i\* a_i or sum a_i a_i\* is not finite$"):
+            call(candidates)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_toeplitz_candidate_stats():
     for J in (2, 3, 4, 5):
         stats = candidate_stats(toeplitz_candidate_family(J))
@@ -310,6 +332,31 @@ def test_standard_witness_depth_one():
     brute = [m / math.sqrt(2.0) for m in brute_isometries(2, 1)]
     total = sum(m @ m.conj().T for m in brute)
     assert np.linalg.norm(total, 2) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, depth", [(2, 0), (2, 1), (2, 3), (2, 8), (3, 2), (3, 5), (9, 1)])
+def test_standard_witness_at_a_depth_is_the_evaluated_symbolic_one(n, depth):
+    """Bit for bit the family the scaled truncated isometries gave, checked
+    with degree 1: entries (signed zeros too), labels, report and interior."""
+    realized = standard_isometry_witness(n, depth)
+    scale = 1.0 / math.sqrt(n)
+    reference = check_witness([scale * v for v in truncated_isometries(n, depth)], degree=1)
+    assert len(realized.elements) == len(reference.elements) == n
+    for b, v in zip(realized.elements, reference.elements):
+        assert b.entries.tobytes() == v.entries.tobytes()
+        assert b.basis_labels == v.basis_labels
+    assert realized.report == reference.report
+    assert realized.degree == reference.degree == 1
+    if reference.interior_mask is None:
+        assert realized.interior_mask is None
+    else:
+        assert realized.interior_mask.tobytes() == reference.interior_mask.tobytes()
+
+
+def test_witness_realizes_symbolic_families_through_evaluate_witness_alone():
+    source = inspect.getsource(witness_module)
+    assert "truncated_isometries" not in source
+    assert "degree=1" not in source
 
 
 def test_standard_witness_needs_two():

@@ -541,6 +541,22 @@ def build(corpus: Corpus) -> None:
     run("decompose-overflow", "decompose", "--a", "a-overflow-d2.json",
         "--witness", "w-standard.json", "--depth", "2")
 
+    # Fock labels take one digit per letter, so a truncation over 10
+    # generators is refused by that rule
+    run("gen-standard10-d2", "witness-gen", "--standard", "10", "--depth", "2")
+
+    # candidates whose star sums overflow are refused by name, before inf - inf
+    write("cands-overflow.json", {"backend": "matrix", "elements": [
+        real_matrix(np.diag([1e200, 1.0, 1.0])), real_matrix(np.eye(3))]})
+    run("build-overflow", "witness-build", "--candidates", "cands-overflow.json")
+
+    # entries near 1e100 give a Gram matrix past the float range, formed again
+    # from span elements scaled by powers of two: the bracket of g / 1e100
+    large = np.zeros((3, 3))
+    large[1, 0], large[2, 1] = 1e100, 2e100
+    write("family-large-entries.json", {"generators": [real_matrix(large)]})
+    run("dist-large-entries", "dist", "--family", "family-large-entries.json")
+
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
