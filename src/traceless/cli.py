@@ -13,7 +13,9 @@ an ``OSError`` or ``ValueError`` as "input-error" with 1, among them a norm or
 matrix that is not finite, which ``linalg`` refuses by name.  A flag value that
 argparse refuses, a non-finite ``--tol`` or ``--eps`` and a ``--eps`` that is
 not positive among them, exits 2 with its usage message on stderr and
-nothing on stdout.
+nothing on stdout; so does a witness command given no family, or two
+(``witness-gen --standard/--toeplitz/--toeplitz-candidates``,
+``witness-build --candidates/--toeplitz``).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .tracedist import commutator_distance
 from .witness import (
     backend_of,
     build_witness,
+    check_witness,
     evaluate_witness,
     standard_isometry_witness,
     toeplitz_candidate_family,
@@ -116,10 +119,8 @@ def _cmd_witness_gen(args):
         return 0, {"candidates": artifact}, artifact
     if args.toeplitz is not None:
         witness = build_witness(toeplitz_candidate_family(args.toeplitz), tol=args.tol)
-    elif args.standard is not None:
-        witness = standard_isometry_witness(args.standard)
     else:
-        raise ValueError("choose one of --standard, --toeplitz, --toeplitz-candidates")
+        witness = check_witness(standard_isometry_witness(args.standard).elements, tol=args.tol)
     if args.depth is not None:
         witness = evaluate_witness(witness, args.depth, tol=args.tol)
     artifact = witness_to_json(witness)
@@ -135,10 +136,8 @@ def _cmd_witness_check(args):
 def _cmd_witness_build(args):
     if args.toeplitz is not None:
         candidates = toeplitz_candidate_family(args.toeplitz)
-    elif args.candidates is not None:
-        candidates = elements_from_json(_load_json(args.candidates))
     else:
-        raise ValueError("choose one of --candidates, --toeplitz")
+        candidates = elements_from_json(_load_json(args.candidates))
     witness = build_witness(candidates, tol=args.tol)
     artifact = witness_to_json(witness)
     return (0 if witness.report.valid else 2), {"witness": artifact}, artifact
@@ -183,7 +182,7 @@ def _cmd_decompose(args):
     if mask is None:
         mask = _interior(a, witness.degree)
     report = verify_decomposition(a, result.pairs, mask)
-    artifact = decomposition_to_json(result, report, a=a)
+    artifact = decomposition_to_json(result, report, a)
     if witness.degree is not None:
         artifact["interior_degree"] = witness.degree
     return 0, {"decomposition": artifact}, artifact
@@ -238,11 +237,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("witness-gen", help="generate a witness family")
-    p.add_argument("--standard", type=int, default=None, help="isometry witness on n generators")
-    p.add_argument("--toeplitz", type=int, default=None, help="witness built from the J-family")
-    p.add_argument(
-        "--toeplitz-candidates", type=int, default=None, help="emit the raw J-family candidates"
-    )
+    family = p.add_mutually_exclusive_group(required=True)
+    family.add_argument("--standard", type=int, help="isometry witness on n generators")
+    family.add_argument("--toeplitz", type=int, help="witness built from the J-family")
+    family.add_argument("--toeplitz-candidates", type=int, help="emit the raw J-family candidates")
     p.add_argument("--depth", type=int, default=None, help="realize on a Fock truncation")
     p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--out", default=None)
@@ -254,8 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witness_check)
 
     p = sub.add_parser("witness-build", help="construct a witness from candidates")
-    p.add_argument("--candidates", default=None, help="candidates JSON file")
-    p.add_argument("--toeplitz", type=int, default=None, help="use the built-in J-family")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--candidates", help="candidates JSON file")
+    source.add_argument("--toeplitz", type=int, help="use the built-in J-family")
     p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_witness_build)
@@ -308,17 +307,14 @@ def main(argv=None) -> int:
     }
     try:
         code, result, artifact = args.func(args)
-        success = {**envelope, "result": result}
+        # the result embeds the artifact, so its one render serves both;
+        # --out is opened once both are rendered, so a failure writes nothing
+        artifact_chunks, chunks = render_envelope({**envelope, "result": result}, artifact)
         out = getattr(args, "out", None)
-        if out is None:
-            chunks = [dumps(success)]
-        else:
-            # the result embeds the artifact, so its one render serves both;
-            # --out is opened once both are rendered, so a failure writes nothing
-            artifact_chunks, chunks = render_envelope(success, artifact)
+        if out is not None:
             with open(out, "w", encoding="utf-8") as handle:
                 handle.writelines(artifact_chunks)
-            del artifact_chunks  # its text is not held while stdout is written
+        del artifact_chunks  # its text is not held while stdout is written
     except (TracelessError, OSError, ValueError) as exc:
         domain = isinstance(exc, TracelessError)  # else an input-error, JSON syntax too
         error = {"code": exc.code if domain else "input-error", "message": str(exc)}

@@ -50,7 +50,7 @@ from .errors import (
     StarSyntaxError,
     SymbolicSqrtUnsupported,
 )
-from .linalg import Operator
+from .linalg import Operator, identity
 
 __all__ = [
     "Word",
@@ -644,7 +644,7 @@ def evaluate_expression(text: str, trunc: FockTruncation) -> Operator:
     the composition v1* v1 is the projection onto words of length < depth.
     """
     isometries = [evaluate(gen(trunc.n, i), trunc) for i in range(1, trunc.n + 1)]
-    one = Operator(np.eye(trunc.dimension, dtype=complex), trunc.labels)
+    one = identity(trunc.dimension, trunc.labels)
     return _interpret(_Parser(text).parse(), one, trunc.n, lambda i: isometries[i - 1])
 
 

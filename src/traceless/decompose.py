@@ -251,13 +251,13 @@ def decompose_positive(
     """
     if witness.backend != "matrix":
         raise TypeError("positive decomposition needs a matrix witness")
-    report = positivity_check(a, tol=1e-9)
+    report = positivity_check(a)
     if not report.is_psd:
         raise NotPositive(
             f"input not positive: hermitian={report.is_hermitian}, min_eig={report.min_eig:.3e}"
         )
     psi, info = _solve(a, witness, eps, solver)
-    root = psd_sqrt(psi, tol=1e-9)
+    root = psd_sqrt(psi)
     ys = [b @ root for b in witness.elements]
     pairs = tuple(CommutatorPair(y.adjoint(), y, self_adjoint_form=True) for y in ys)
     return DecompositionResult(pairs, psi, info)

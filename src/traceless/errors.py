@@ -59,9 +59,9 @@ class TraceObstruction(TracelessError):
 
     code = "trace-obstruction"
 
-    def __init__(self, t0: float, message: str | None = None):
+    def __init__(self, t0: float):
         self.t0 = float(t0)
-        super().__init__(message or f"no trace obstruction witness: t0 = {self.t0!r} >= 1")
+        super().__init__(f"no trace obstruction witness: t0 = {self.t0!r} >= 1")
 
 
 class SymbolicSqrtUnsupported(TracelessError):

@@ -31,6 +31,8 @@ __all__ = [
     "zero",
 ]
 
+PSD_TOL = 1e-9  # positivity tolerance, relative: scaled by max(1, largest |eigenvalue|)
+
 
 @dataclass(frozen=True, eq=False)
 class Operator:
@@ -216,29 +218,29 @@ def _lapack(routine: str, name: str, *args, **kwargs):
     return result
 
 
-def _hermitian_spectrum(x: Operator, tol: float, vectors: bool):
+def _hermitian_spectrum(x: Operator, vectors: bool):
     """(||x - x*||, the ascending eigenvalues of (x + x*)/2, their
-    eigenvectors or None, tol * max(1, largest |eigenvalue|))."""
+    eigenvectors or None, PSD_TOL * max(1, largest |eigenvalue|))."""
     a, name = x.entries, "Hermitian part (x + x*)/2"
     _finite(name, a)
     defect = op_norm(a - a.conj().T, "Hermitian defect ||x - x*||")
     h = (a + a.conj().T) / 2
     w, u = _lapack("eigh", name, h) if vectors else (_lapack("eigvalsh", name, h), None)
-    return defect, w, u, tol * max(1.0, -float(w[0]), float(w[-1]))
+    return defect, w, u, PSD_TOL * max(1.0, -float(w[0]), float(w[-1]))
 
 
-def psd_sqrt(x: Operator, tol: float = 1e-9) -> Operator:
+def psd_sqrt(x: Operator) -> Operator:
     """Positive square root of a positive semidefinite operator.
 
-    ``tol`` is relative: it is scaled by t = max(1, largest |eigenvalue| of
-    the Hermitian part (x + x*)/2).  Eigenvalues in [-tol t, 0) are treated
-    as truncation noise and clamped to zero, so the result y satisfies
-    ||y @ y - x|| <= tol t plus rounding.
+    The tolerance tol = PSD_TOL is relative: it is scaled by t = max(1,
+    largest |eigenvalue| of the Hermitian part (x + x*)/2).  Eigenvalues in
+    [-tol t, 0) are treated as truncation noise and clamped to zero, so the
+    result y satisfies ||y @ y - x|| <= tol t plus rounding.
 
     Raises NotHermitian if ||x - x*|| > tol t and NotPositive if the least
     eigenvalue falls below -tol t.
     """
-    defect, w, u, tol = _hermitian_spectrum(x, tol, vectors=True)
+    defect, w, u, tol = _hermitian_spectrum(x, vectors=True)
     if defect > tol:
         raise NotHermitian(f"||x - x*|| = {defect:.3e} > tol = {tol:.3e}")
     if w[0] < -tol:
@@ -249,14 +251,14 @@ def psd_sqrt(x: Operator, tol: float = 1e-9) -> Operator:
     return Operator(root, x.basis_labels)
 
 
-def positivity_check(x: Operator, tol: float = 1e-9) -> PositivityReport:
+def positivity_check(x: Operator) -> PositivityReport:
     """Hermiticity and positivity report.
 
     ``min_eig`` is the least eigenvalue of the Hermitian part (x + x*)/2.
-    ``tol`` is relative, as in ``psd_sqrt``: with t = max(1, largest
-    |eigenvalue| of (x + x*)/2), ``is_psd`` holds iff ||x - x*|| <= tol t
-    and min_eig >= -tol t.
+    With tol = PSD_TOL and t = max(1, largest |eigenvalue| of (x + x*)/2),
+    as in ``psd_sqrt``, ``is_psd`` holds iff ||x - x*|| <= tol t and
+    min_eig >= -tol t.
     """
-    defect, w, _, tol = _hermitian_spectrum(x, tol, vectors=False)
+    defect, w, _, tol = _hermitian_spectrum(x, vectors=False)
     min_eig = float(w[0])
     return PositivityReport(defect <= tol, min_eig, defect <= tol and min_eig >= -tol)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .cuntz import StarPolynomial, word_from_string, word_to_string
 from .linalg import Operator
-from .witness import WitnessFamily, WitnessReport, backend_of
+from .witness import WitnessFamily, WitnessReport, backend_of, check_witness
 from .decompose import CommutatorPair, DecompositionResult, VerificationReport
 from .tracedist import CommutatorSpanFamily, DistanceEstimate, commutator_span_family
 
@@ -366,7 +366,7 @@ def witness_from_json(data: dict, tol: float = 1e-10) -> WitnessFamily:
     if not elements:
         raise ValueError("witness JSON has no elements")
     _claimed_eta2(data)
-    return WitnessFamily(elements, degree=data.get("degree"), tol=tol)
+    return check_witness(elements, tol, data.get("degree"))
 
 
 def family_from_json(data: dict, dim: int | None = None) -> CommutatorSpanFamily:
@@ -377,11 +377,11 @@ def family_from_json(data: dict, dim: int | None = None) -> CommutatorSpanFamily
     return commutator_span_family(generators, dim=dim)
 
 
-def decomposition_to_json(result: DecompositionResult, report: VerificationReport, a=None) -> dict:
+def decomposition_to_json(result: DecompositionResult, report: VerificationReport, a) -> dict:
     """Decomposition report with the residual fields of ``report``
     (``verify_decomposition`` of the result); embeds the decomposed element
-    so that verification can run from the report alone."""
-    out = {
+    ``a``, last, so that verification can run from the report alone."""
+    return {
         "backend": backend_of(result.psi_a),
         "n": len(result.pairs),
         "pairs": [
@@ -394,10 +394,8 @@ def decomposition_to_json(result: DecompositionResult, report: VerificationRepor
         ],
         **verification_to_json(report),
         "solver": asdict(result.solver),
+        "a": element_to_json(a),
     }
-    if a is not None:
-        out["a"] = element_to_json(a)
-    return out
 
 
 def decomposition_from_json(data: dict) -> tuple[object | None, list[CommutatorPair], dict]:

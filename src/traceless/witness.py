@@ -14,7 +14,8 @@ also report eta1 on the interior that a family's degree determines.
 A ``WitnessFamily`` computes its report from its elements when it is made
 and takes no report argument, so a report read from a file is at most a
 claim to compare against.  ``check_witness`` is that one constructor, for
-both element types; ``_one`` and ``_norm`` are their only seam.  A symbolic
+both element types, and no other code of the package makes one (file loads
+included); ``_one`` and ``_norm`` are the types' only seam.  A symbolic
 norm is ``cuntz.symbolic_norm``: exact when the element is diagonal in the
 word basis, else an upper bound, never the lower bound that a Fock
 truncation gives.
@@ -133,15 +134,14 @@ class CandidateFamily:
     norms_exact: bool = True
 
 
-def _family(elements, symbolic: bool | None = None) -> tuple:
-    """A non-empty family of StarPolynomials (symbolic) or of Operators, with a
-    common generator count or dimension and basis labels (ValueError if they
-    differ); by default of the first element's kind."""
+def _family(elements) -> tuple:
+    """A non-empty family of StarPolynomials (symbolic) or of Operators, of the
+    first element's kind, with a common generator count or dimension and
+    basis labels (ValueError if they differ)."""
     family = tuple(elements)
     if not family:
         raise EmptyFamily("family contains no elements")
-    if symbolic is None:
-        symbolic = isinstance(family[0], StarPolynomial)
+    symbolic = isinstance(family[0], StarPolynomial)
     kind = StarPolynomial if symbolic else Operator
     for b in family:
         if not isinstance(b, kind):
@@ -183,7 +183,10 @@ def check_witness_symbolic(family, tol: float = 1e-10, depth: int | None = None)
 
     ``depth`` is accepted but not read: ``bench/workloads.py`` passes it.
     """
-    return check_witness(_family(family, symbolic=True), tol)
+    family = tuple(family)
+    if family and not isinstance(family[0], StarPolynomial):
+        raise TypeError("expected a symbolic family")
+    return check_witness(family, tol)
 
 
 def _stats_and_sum_star(elements) -> tuple[CandidateFamily, object]:

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from traceless import Operator, StarPolynomial
+from traceless import Operator, StarPolynomial, check_witness
 
 
 def brute_words(n: int, depth: int) -> list[tuple[int, ...]]:
@@ -83,6 +83,30 @@ def random_hermitian(rng, dim: int, labels=None) -> Operator:
 def random_operator(rng, dim: int, labels=None) -> Operator:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return Operator(g, labels)
+
+
+def grade_unitary(rng, labels) -> np.ndarray:
+    """A random unitary, block diagonal by word length: one block per grade of
+    the Fock basis ``labels``, each the Q of a QR of a complex Gaussian block
+    with the phases of R's diagonal moved into Q.  It commutes with every
+    interior projection, which keeps the words of length <= K."""
+    lengths = np.array([len(word) for word in labels])
+    u = np.zeros((len(labels), len(labels)), dtype=complex)
+    for length in np.unique(lengths):
+        index = np.flatnonzero(lengths == length)
+        g = rng.standard_normal((index.size,) * 2) + 1j * rng.standard_normal((index.size,) * 2)
+        q, r = np.linalg.qr(g)
+        u[np.ix_(index, index)] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return u
+
+
+def rotated_witness(witness, u: np.ndarray):
+    """The family b'_i = u b_i u* of a matrix witness, checked like any family
+    with the witness's degree: for u from ``grade_unitary`` a dense witness
+    with the same interior, eta2 and nilpotency as the one it rotates."""
+    labels = witness.elements[0].basis_labels
+    rotated = [Operator(u @ b.entries @ u.conj().T, labels) for b in witness.elements]
+    return check_witness(rotated, degree=witness.degree)
 
 
 def random_poly(rng, n: int = 2, max_degree: int = 3, max_terms: int = 8) -> StarPolynomial:

@@ -185,12 +185,53 @@ def test_witness_gen_and_witness_check_print_the_same_eta2(tmp_path, capsys):
     assert generated["result"]["witness"]["report"]["eta2"] == checked["result"]["report"]["eta2"]
 
 
-def test_witness_build_without_a_source_is_an_input_error(capsys):
-    code, envelope, _ = run_cli(capsys, "witness-build")
-    assert code == 1
-    assert envelope["error"]["code"] == "input-error"
-    assert "--candidates" in envelope["error"]["message"]
-    assert "--toeplitz" in envelope["error"]["message"]
+def _usage_error(capsys, *argv) -> str:
+    """The stderr of a run that argparse refuses: exit 2, nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_witness_build_without_a_source_is_a_usage_error(capsys):
+    err = _usage_error(capsys, "witness-build")
+    assert "--candidates" in err and "--toeplitz" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("witness-gen", "--standard", "2", "--toeplitz", "2"), ("--standard", "--toeplitz")),
+        (
+            ("witness-gen", "--toeplitz", "2", "--toeplitz-candidates", "2"),
+            ("--toeplitz", "--toeplitz-candidates"),
+        ),
+        (
+            ("witness-build", "--candidates", "c.json", "--toeplitz", "3"),
+            ("--candidates", "--toeplitz"),
+        ),
+    ],
+)
+def test_two_families_are_a_usage_error(capsys, argv, flags):
+    # once the last choice won silently; refused before any file is read
+    err = _usage_error(capsys, *argv)
+    assert "not allowed with argument" in err
+    assert all(flag in err for flag in flags)
+
+
+def test_witness_gen_standard_is_checked_with_tol(tmp_path, capsys):
+    """eta2 = 0.4999999999999999 is not below 1 - 0.6, so the file written is
+    invalid, as witness-check of it with the same --tol says."""
+    wfile = tmp_path / "w.json"
+    argv = ("witness-gen", "--standard", "2", "--tol", "0.6", "--out", str(wfile))
+    code, generated, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, checked, _ = run_cli(capsys, "witness-check", str(wfile), "--tol", "0.6")
+    assert code == 2
+    assert generated["result"]["witness"]["report"]["valid"] is False
+    assert generated["result"]["witness"]["report"] == checked["result"]["report"]
 
 
 def test_verify_refuses_an_element_of_the_other_backend(tmp_path, capsys):

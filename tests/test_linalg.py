@@ -69,13 +69,13 @@ def test_psd_sqrt_clamps_tiny_negatives():
 
 
 def test_positivity_projection():
-    report = positivity_check(Operator(np.diag([1.0, 0.0])), tol=1e-9)
+    report = positivity_check(Operator(np.diag([1.0, 0.0])))
     assert report.is_psd
     assert report.min_eig == pytest.approx(0.0, abs=1e-12)
 
 
 def test_positivity_visible_negative():
-    report = positivity_check(Operator(np.diag([1.0, -1e-6])), tol=1e-9)
+    report = positivity_check(Operator(np.diag([1.0, -1e-6])))
     assert not report.is_psd
 
 
@@ -83,7 +83,7 @@ def test_positivity_rank_one():
     # v v* has eigenvalues {|v|^2, 0, ..., 0}, nonnegative by construction
     rng = np.random.default_rng(42)
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    report = positivity_check(Operator(np.outer(v, v.conj())), tol=1e-9)
+    report = positivity_check(Operator(np.outer(v, v.conj())))
     assert report.is_psd
     assert report.min_eig >= -1e-12
 

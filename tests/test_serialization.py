@@ -16,6 +16,7 @@ from traceless import (
     unit,
 )
 from traceless.decompose import decompose_element, solve_psi_direct, verify_decomposition
+from traceless import serialization
 from traceless.errors import TracelessError
 from traceless.serialization import (
     decomposition_from_json,
@@ -114,6 +115,21 @@ def test_witness_round_trip_matrix_rebuilds_mask():
     assert np.array_equal(again.interior_mask, witness.interior_mask)
 
 
+def test_witness_from_json_builds_its_family_by_one_check_witness(monkeypatch):
+    calls = []
+    check = serialization.check_witness
+
+    def counted(elements, tol, degree):
+        calls.append((len(elements), tol, degree))
+        return check(elements, tol, degree)
+
+    monkeypatch.setattr(serialization, "check_witness", counted)
+    data = json.loads(dumps(witness_to_json(standard_isometry_witness(2, depth=3))))
+    loaded = witness_from_json(data, tol=1e-6)
+    assert calls == [(2, 1e-6, 1)]
+    assert loaded.report == standard_isometry_witness(2, depth=3).report
+
+
 def test_a_forged_eta2_in_a_witness_file_is_not_read():
     # claimed eta2 = 0.05 against 2/3 would stop the Neumann series after a
     # few terms with a tail bound that the partial sum does not meet
@@ -182,7 +198,7 @@ def test_decomposition_backend_follows_the_elements():
     m = random_hermitian(np.random.default_rng(53), 7)
     matrix = decompose_element(m, witness)
     report = verify_decomposition(m, matrix.pairs)
-    assert decomposition_to_json(matrix, report)["backend"] == "matrix"
+    assert decomposition_to_json(matrix, report, m)["backend"] == "matrix"
 
 
 # floats json writes in shortest round-trip form, with the edge cases of

@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,8 +160,23 @@ def test_symbolic_eta2_is_an_upper_bound_not_a_truncation():
 
 def test_check_witness_symbolic_refuses_a_matrix_family():
     family = [Operator(m / math.sqrt(2.0)) for m in brute_isometries(2, 2)]
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^expected a symbolic family$"):
         check_witness_symbolic(family)
+    # the first element decides, before the family's own checks run
+    mixed = [family[0], gen(2, 1), Operator(np.eye(3))]
+    with pytest.raises(TypeError, match="^expected a symbolic family$"):
+        check_witness_symbolic(mixed)
+
+
+def test_check_witness_is_the_one_way_into_a_witness_family():
+    """No module of the package makes a WitnessFamily but ``check_witness``."""
+    package = Path(witness_module.__file__).parent
+    makers = {
+        path.name: path.read_text(encoding="utf-8").count("WitnessFamily(")
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: count for name, count in makers.items() if count} == {"witness.py": 1}
+    assert "WitnessFamily(" in inspect.getsource(witness_module.check_witness)
 
 
 # ---------------------------------------------------------------------------

@@ -557,6 +557,13 @@ def build(corpus: Corpus) -> None:
     write("family-large-entries.json", {"generators": [real_matrix(large)]})
     run("dist-large-entries", "dist", "--family", "family-large-entries.json")
 
+    # a witness command takes exactly one family: two are a usage error
+    run("gen-two-families", "witness-gen", "--standard", "2", "--toeplitz", "2")
+    run("build-two-sources", "witness-build", "--candidates", "cands-j2.json", "--toeplitz", "3")
+    # --tol checks the standard witness too: eta2 = 1/2 is not below 1 - 0.6
+    run("gen-standard-tol", "witness-gen", "--standard", "2", "--tol", "0.6",
+        "--out", "w-standard-tol.json")
+
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
